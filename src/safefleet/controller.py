@@ -5,11 +5,12 @@ tracks, rolls the learned dynamics through the already-queued (delayed)
 controls to find the state where a new command will actually bite, unrolls
 every discrete candidate over a short horizon, vetoes candidates whose
 predicted states violate any per-agent barrier, and picks the survivor with
-the best goal-driven score.
+the best goal-driven score.  The dynamics roll all candidates forward step
+by step, then each nearby agent's barrier is evaluated once on the whole
+horizon x candidates block of predicted states.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,6 @@ class ControllerConfig:
     w_v: float = 1.0
     w_g: float = 1.0
     desired_speed: float = 1.0
-    delay_h: float = 0.0
     interaction_radius: float = 5.0       # agents farther than this are ignored
     dt: float = DT
 
@@ -73,28 +73,26 @@ def plan_start_state(current: RobotState, queue, dyn: DynamicsModel) -> RobotSta
     return RobotState.from_array(state[0])
 
 
-def _predicted_agent_data(track: AgentTrack, cfg: ControllerConfig, horizon: int):
-    """Per-step prediction of one agent over the unroll horizon.
-
-    Returns (kind, payload) where payload holds whatever the task features
-    need at steps 1..horizon.
-    """
+def _predicted_agent(track: AgentTrack, cfg: ControllerConfig, steps: np.ndarray):
+    """Barrier task of one agent, with its context columns (S, k) and positions
+    (S, 2) extrapolated to each of the ascending `steps` (>= 1)."""
     kind = classify_agent(track, cfg)
     if kind == "static":
-        return "static", np.asarray(track.positions[-1], dtype=float)
+        cols = np.tile(track.positions[-1], (len(steps), 1))
+        return "static", cols, cols
     if kind == "pedestrian":
         vel = (track.positions[2] - track.positions[0]) / (2.0 * cfg.dt)
-        # positions at steps -2 .. horizon (history windows need two past steps)
-        ks = np.arange(-2, horizon + 1)
-        pos = track.positions[2] + ks[:, None] * cfg.dt * vel
-        return "pedestrian", pos
+        # constant velocity; the history window of step s is steps s-2, s-1, s
+        ks = steps[:, None] + np.arange(-2, 1)
+        windows = track.positions[2] + ks[..., None] * cfg.dt * vel
+        return "dynamic", windows.reshape(len(steps), 6), windows[:, 2]
     if track.state is None:
         raise ValueError(f"robot track {track.id} is missing a full state")
-    states = np.empty((horizon + 1, 5))
+    states = np.empty((steps[-1] + 1, 5))
     states[0] = track.state.as_array()
-    for k in range(horizon):
+    for k in range(steps[-1]):
         states[k + 1] = coast_step_batch(states[k][None, :], cfg.dt)[0]
-    return "robot", states
+    return "multirobot", states[steps], states[steps, 0:2]
 
 
 def filter_candidates(start: RobotState, agents, barriers: dict,
@@ -102,6 +100,10 @@ def filter_candidates(start: RobotState, agents, barriers: dict,
                       time_offset_steps: int = 0):
     """Unroll every candidate `horizon` steps and veto any whose predicted
     states put some agent's barrier below zero.
+
+    Two phases: the dynamics roll the candidates forward step by step into an
+    (H, C, 5) trajectory, then each nearby agent's barrier is evaluated in one
+    call on all H*C contexts and minimised over the horizon per candidate.
 
     `time_offset_steps` shifts the agent extrapolations forward so that when
     the start state is the delay-compensated (future) robot state, the agents
@@ -116,51 +118,26 @@ def filter_candidates(start: RobotState, agents, barriers: dict,
     """
     cands = cfg.candidates
     n_cand = len(cands)
-    start_pos = start.position
-    nearby = []
-    for track in agents:
-        if np.linalg.norm(np.asarray(track.positions[-1]) - start_pos) > cfg.interaction_radius:
-            continue
-        kind, payload = _predicted_agent_data(track, cfg, cfg.horizon + time_offset_steps)
-        task = {"static": "static", "pedestrian": "dynamic"}.get(kind, "multirobot")
-        if task not in barriers:
-            raise MissingBarrierError(f"no barrier model for agent kind {task!r}")
-        nearby.append((task, kind, payload))
-
+    traj = np.empty((cfg.horizon, n_cand, 5))
     states = np.tile(start.as_array(), (n_cand, 1))
+    for k in range(cfg.horizon):
+        states = traj[k] = predict_next_batch(dyn, states, cands)
+    flat = traj.reshape(-1, 5)              # row k*C + c: candidate c at step k+1
+    steps = np.arange(1, cfg.horizon + 1) + time_offset_steps
     worst_b = np.full(n_cand, np.inf)
     worst_d = np.full(n_cand, np.inf)
-    for step in range(1, cfg.horizon + 1):
-        states = predict_next_batch(dyn, states, cands)
-        for task, kind, payload in nearby:
-            ctx = _contexts_at_step(states, task, kind, payload, step + time_offset_steps)
-            b = barriers[task].value(features_from_context(task, ctx))
-            worst_b = np.minimum(worst_b, b)
-            d = np.linalg.norm(states[:, 0:2] -
-                               _agent_position_at_step(kind, payload,
-                                                       step + time_offset_steps),
-                               axis=1)
-            worst_d = np.minimum(worst_d, d)
+    for track in agents:
+        if np.linalg.norm(track.positions[-1] - start.position) > cfg.interaction_radius:
+            continue
+        task, cols, pos = _predicted_agent(track, cfg, steps)
+        if task not in barriers:
+            raise MissingBarrierError(f"no barrier model for agent kind {task!r}")
+        ctx = np.hstack([flat, np.repeat(cols, n_cand, axis=0)])
+        b = barriers[task].value(features_from_context(task, ctx)).reshape(cfg.horizon, n_cand)
+        worst_b = np.minimum(worst_b, b.min(axis=0))
+        d = np.linalg.norm(traj[:, :, 0:2] - pos[:, None, :], axis=2)
+        worst_d = np.minimum(worst_d, d.min(axis=0))
     return np.where(worst_b >= 0.0)[0], states, worst_b, worst_d
-
-
-def _agent_position_at_step(kind, payload, step):
-    if kind == "static":
-        return payload
-    if kind == "pedestrian":
-        return payload[step + 2]    # payload rows start at step -2
-    return payload[step][0:2]
-
-
-def _contexts_at_step(robot_states, task, kind, payload, step):
-    n = len(robot_states)
-    if task == "static":
-        return np.hstack([robot_states, np.tile(payload, (n, 1))])
-    if task == "dynamic":
-        hist = payload[step:step + 3].ravel()  # steps step-2, step-1, step
-        return np.hstack([robot_states, np.tile(hist, (n, 1))])
-    other = payload[step]
-    return np.hstack([robot_states, np.tile(other, (n, 1))])
 
 
 RECOVERY_CLEARANCE_CAP = 0.7    # the labeled safety distance d
@@ -180,10 +157,11 @@ def recovery_control(cfg: ControllerConfig, worst_b: np.ndarray,
     return Control(*cfg.candidates[int(best)])
 
 
-def goal_score(terminal: RobotState, goal, cfg: ControllerConfig) -> float:
-    """Velocity-tracking plus goal-reaching score; 0 is the maximum."""
-    dist = math.dist((terminal.x, terminal.y), tuple(goal))
-    return -cfg.w_v * abs(terminal.v - cfg.desired_speed) - cfg.w_g * dist
+def goal_score(terminal: np.ndarray, goal, cfg: ControllerConfig) -> np.ndarray:
+    """Velocity-tracking plus goal-reaching score of each (N, 5) terminal
+    state row; 0 is the maximum."""
+    dist = np.linalg.norm(terminal[:, 0:2] - np.asarray(goal, dtype=float), axis=1)
+    return -cfg.w_v * np.abs(terminal[:, 3] - cfg.desired_speed) - cfg.w_g * dist
 
 
 def select_control(current: RobotState, queue, agents, goal, barriers: dict,
@@ -195,7 +173,15 @@ def select_control(current: RobotState, queue, agents, goal, barriers: dict,
     the controller degrades to damage limitation via `recovery_control`,
     which actively steers away from the threat instead of freezing in its
     path.
+
+    Raises ValueError when the current state, a queued control or the goal
+    is non-finite: such a plan would veto every candidate without saying why.
     """
+    queued = [u.as_array() if isinstance(u, Control) else u for u in queue]
+    for name, value in (("state", current.as_array()), ("queued control", queued),
+                        ("goal", goal)):
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"non-finite {name}: {value!r}")
     if compensate_delay:
         start = plan_start_state(current, queue, dyn)
         offset = len(queue)
@@ -205,8 +191,5 @@ def select_control(current: RobotState, queue, agents, goal, barriers: dict,
         start, agents, barriers, dyn, cfg, time_offset_steps=offset)
     if len(survivors) == 0:
         return recovery_control(cfg, worst_b, worst_d)
-    goal = np.asarray(goal, dtype=float)
-    dist = np.linalg.norm(terminal[survivors, 0:2] - goal, axis=1)
-    scores = -cfg.w_v * np.abs(terminal[survivors, 3] - cfg.desired_speed) - cfg.w_g * dist
-    best = survivors[int(np.argmax(scores))]
+    best = survivors[int(np.argmax(goal_score(terminal[survivors], goal, cfg)))]
     return Control(*cfg.candidates[best])

@@ -159,8 +159,7 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
 
     candidates = candidate_controls(cfg.max_speed)
     ctrl_cfgs = {rid: ControllerConfig(candidates=candidates, horizon=cfg.horizon,
-                                       desired_speed=cfg.max_speed,
-                                       delay_h=platforms[rid].delay_h)
+                                       desired_speed=cfg.max_speed)
                  for rid in robots}
 
     histories = {}

@@ -6,8 +6,10 @@ from safefleet.barrier import BarrierModel
 from safefleet.controller import (AgentTrack, ControllerConfig, MissingBarrierError,
                                   classify_agent, filter_candidates, goal_score, recovery_control,
                                   plan_start_state, select_control)
-from safefleet.dynamics import predict_next, zero_dynamics
-from safefleet.world import Control, RobotState, candidate_controls, make_platform
+from safefleet.data import features_from_context
+from safefleet.dynamics import predict_next, predict_next_batch, zero_dynamics
+from safefleet.world import (Control, RobotState, candidate_controls, coast_step_batch,
+                             make_platform)
 
 DYN = zero_dynamics(make_platform("freight", 1.0))
 CANDS = candidate_controls(1.0)
@@ -126,6 +128,103 @@ class TestFilterCandidates:
             filter_candidates(RobotState(0, 0, 0, 0, 0), agents, {}, DYN, _cfg())
 
 
+def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
+    """The per-step evaluation: one barrier call per horizon step and agent.
+
+    Kept as the reference that `filter_candidates` must match: exactly, but
+    for the last bits of learned barrier values.
+    """
+    def predicted(track, horizon):
+        kind = classify_agent(track, cfg)
+        if kind == "static":
+            return "static", np.asarray(track.positions[-1], dtype=float)
+        if kind == "pedestrian":
+            vel = (track.positions[2] - track.positions[0]) / (2.0 * cfg.dt)
+            ks = np.arange(-2, horizon + 1)     # rows start at step -2
+            return "pedestrian", track.positions[2] + ks[:, None] * cfg.dt * vel
+        states = np.empty((horizon + 1, 5))
+        states[0] = track.state.as_array()
+        for k in range(horizon):
+            states[k + 1] = coast_step_batch(states[k][None, :], cfg.dt)[0]
+        return "robot", states
+
+    def position(kind, payload, step):
+        if kind == "static":
+            return payload
+        return payload[step + 2] if kind == "pedestrian" else payload[step][0:2]
+
+    def contexts(robot_states, task, payload, step):
+        if task == "static":
+            cols = payload
+        elif task == "dynamic":
+            cols = payload[step:step + 3].ravel()
+        else:
+            cols = payload[step]
+        return np.hstack([robot_states, np.tile(cols, (len(robot_states), 1))])
+
+    cands = cfg.candidates
+    nearby = []
+    for track in agents:
+        if np.linalg.norm(track.positions[-1] - start.position) > cfg.interaction_radius:
+            continue
+        kind, payload = predicted(track, cfg.horizon + time_offset_steps)
+        task = {"static": "static", "pedestrian": "dynamic"}.get(kind, "multirobot")
+        nearby.append((task, kind, payload))
+    states = np.tile(start.as_array(), (len(cands), 1))
+    worst_b = np.full(len(cands), np.inf)
+    worst_d = np.full(len(cands), np.inf)
+    for step in range(1, cfg.horizon + 1):
+        states = predict_next_batch(dyn, states, cands)
+        for task, kind, payload in nearby:
+            ctx = contexts(states, task, payload, step + time_offset_steps)
+            worst_b = np.minimum(worst_b, barriers[task].value(features_from_context(task, ctx)))
+            d = np.linalg.norm(states[:, 0:2] - position(kind, payload, step + time_offset_steps),
+                               axis=1)
+            worst_d = np.minimum(worst_d, d)
+    return np.where(worst_b >= 0.0)[0], states, worst_b, worst_d
+
+
+_START = RobotState(4.0, 6.0, 0.3, 0.8, 0.1)
+_AGENTS = {
+    "static": [AgentTrack("o", [(5.2, 6.4)] * 3)],
+    "pedestrian": [AgentTrack("p", [(5.0, 7.6), (5.0, 7.5), (5.0, 7.4)])],
+    "robot": [AgentTrack("r", [(6.1, 5.0), (6.0, 5.0), (5.9, 5.0)], kind="jackal",
+                         state=RobotState(5.9, 5.0, 3.1, 1.0, -0.2))],
+}
+_AGENTS["mixed_with_far"] = (_AGENTS["static"] + _AGENTS["pedestrian"] + _AGENTS["robot"] + [
+    AgentTrack("o_far", [(30.0, 6.0)] * 3),
+    AgentTrack("p_far", [(4.0, 11.6), (4.0, 11.5), (4.0, 11.4)]),
+    AgentTrack("r_far", [(-3.0, 0.0)] * 3, kind="freight",
+               state=RobotState(-3.0, 0.0, 0.0, 0.0, 0.0))])
+
+
+@pytest.mark.parametrize("agents", sorted(_AGENTS))
+@pytest.mark.parametrize("offset", [0, 1, 2])
+@pytest.mark.parametrize("max_speed", [0.5, 1.0, 1.5])   # 15, 28, 35 candidates
+@pytest.mark.parametrize("models", ["geometric", "bundle"])
+def test_filter_matches_per_step_reference(agents, offset, max_speed, models, request):
+    cfg = ControllerConfig(candidates=candidate_controls(max_speed), desired_speed=max_speed)
+    if models == "bundle":
+        bundle = request.getfixturevalue("bundle")
+        barriers, dyn = bundle.barriers, bundle.dynamics_for("freight")
+    else:
+        barriers, dyn = _geometric_barriers(), DYN
+    args = (_START, _AGENTS[agents], barriers, dyn, cfg)
+    survivors, terminal, worst_b, worst_d = filter_candidates(*args, time_offset_steps=offset)
+    want = _reference_filter(*args, time_offset_steps=offset)
+    np.testing.assert_array_equal(survivors, want[0])
+    np.testing.assert_array_equal(terminal, want[1])
+    np.testing.assert_array_equal(worst_d, want[3])
+    if models == "geometric":
+        np.testing.assert_array_equal(worst_b, want[2])
+    else:
+        # OpenBLAS may pick another gemm kernel, with another summation order,
+        # for H*C rows than for C rows, so learned weights can differ in the
+        # last bits; the geometric nets sum exactly and must match exactly.
+        tol = 1000 * np.finfo(float).eps
+        np.testing.assert_allclose(worst_b, want[2], rtol=tol, atol=tol)
+
+
 def _geometric_barriers():
     """Hand-built barriers positive when the tracked agent is far.
 
@@ -151,21 +250,24 @@ def _geometric_barriers():
     return {"static": b_static, "dynamic": b_dyn, "multirobot": b_mr}
 
 
+def _row(*state):
+    return np.array([state], dtype=float)
+
+
 class TestGoalScore:
     def test_at_goal_at_desired_speed_is_zero_max(self):
         cfg = _cfg(desired_speed=1.0)
-        assert goal_score(RobotState(2, 2, 0, 1.0, 0), (2, 2), cfg) == 0.0
+        assert goal_score(_row(2, 2, 0, 1.0, 0), (2, 2), cfg)[0] == 0.0
 
     def test_desired_speed_preferred_at_equal_distance(self):
         cfg = _cfg(desired_speed=1.0)
-        fast = goal_score(RobotState(0, 0, 0, 1.0, 0), (2, 0), cfg)
-        slow = goal_score(RobotState(0, 0, 0, 0.4, 0), (2, 0), cfg)
+        fast, slow = goal_score(np.vstack([_row(0, 0, 0, 1.0, 0), _row(0, 0, 0, 0.4, 0)]),
+                                (2, 0), cfg)
         assert fast > slow
 
     def test_arithmetic_example(self):
         cfg = _cfg(w_v=1.0, w_g=1.0, desired_speed=1.0)
-        s = RobotState(0, 0, 0, 0.5, 0)
-        assert goal_score(s, (2, 0), cfg) == pytest.approx(-2.5)
+        assert goal_score(_row(0, 0, 0, 0.5, 0), (2, 0), cfg)[0] == pytest.approx(-2.5)
 
 
 class TestSelectControl:
@@ -225,6 +327,14 @@ class TestSelectControl:
     def test_candidate_count_for_half_speed_platform(self):
         cfg = ControllerConfig(candidates=candidate_controls(0.5))
         assert len(cfg.candidates) == 15
+
+    @pytest.mark.parametrize("bad", ["state", "queue", "goal"])
+    def test_non_finite_input_raises(self, bad):
+        state = RobotState(np.nan, 6, 0, 1.0, 0) if bad == "state" else RobotState(0, 6, 0, 1.0, 0)
+        queue = (Control(1.0, 0.0), Control(np.inf, 0.0)) if bad == "queue" else ()
+        goal = (10, np.nan) if bad == "goal" else (10, 6)
+        with pytest.raises(ValueError, match="non-finite"):
+            select_control(state, queue, [], goal, all_barriers(1.0), DYN, _cfg())
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
