@@ -16,13 +16,13 @@ in-distribution, demoted to unsafe for that epoch otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .data import (CONTEXT_DIMS, FEATURE_DIMS, LABEL_SAFE, LABEL_UNLABELED,
-                   LABEL_UNSAFE, features_from_context)
+from .data import (FEATURE_DIMS, LABEL_SAFE, LABEL_UNLABELED, LABEL_UNSAFE,
+                   features_from_context, stack_samples)
 from .dynamics import DynamicsModel, predict_next_batch
 from .ood import RejectionModel, is_in_distribution_batch
 from .world import DT, coast_step_batch
@@ -135,28 +135,23 @@ def best_safe_control(barrier: BarrierModel, dyn: DynamicsModel, rej: RejectionM
     candidates = np.asarray(candidates, dtype=float)
     if len(candidates) == 0:
         raise ValueError("candidate set must be non-empty")
-    feats = successor_features(barrier.task, np.asarray(context)[None, :], candidates, dyn)[0]
-    b_succ = barrier.value(feats)[None, :]
-    gate = is_in_distribution_batch(rej, feats)[None, :]
-    j = _gated_argmax(b_succ, gate)[0]
+    succ = successor_features(barrier.task, np.asarray(context)[None, :], candidates, dyn)
+    b_succ = barrier.value(succ[0])[None, :]
+    j = _gated_argmax(b_succ, _gate_of(rej, succ))[0]
     return candidates[j]
 
 
-def annotate_unlabeled(contexts: np.ndarray, barrier: BarrierModel, dyn: DynamicsModel,
-                       rej: RejectionModel, candidates: np.ndarray):
-    """Split unlabeled contexts into (promoted-safe mask, demoted-unsafe mask).
+def annotate_unlabeled(succ: np.ndarray, gate: np.ndarray, barrier: BarrierModel):
+    """Split unlabeled samples into (promoted-safe mask, demoted-unsafe mask).
 
-    A sample is promoted iff some candidate reaches a successor with B >= 0
-    that is also in-distribution.
+    succ holds the (N, M, F) successor features of N samples under M
+    candidates and gate their (N, M) OOD gates.  A sample is promoted iff some
+    candidate reaches a successor with B >= 0 that is also in-distribution.
     """
-    contexts = np.atleast_2d(contexts)
-    if len(contexts) == 0:
+    n, m, fdim = succ.shape
+    if n == 0:
         return np.zeros(0, bool), np.zeros(0, bool)
-    feats = successor_features(barrier.task, contexts, candidates, dyn)
-    n, m, fdim = feats.shape
-    flat = feats.reshape(n * m, fdim)
-    b = barrier.net.forward(flat)[:, 0].reshape(n, m)
-    gate = is_in_distribution_batch(rej, flat).reshape(n, m)
+    b = barrier.net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
     promoted = ((b >= 0.0) & gate).any(axis=1)
     return promoted, ~promoted
 
@@ -178,16 +173,26 @@ def cbf_loss(barrier: BarrierModel, safe_feats, safe_ctx, unsafe_feats,
     b_u = barrier.value(unsafe_feats)
     succ = successor_features(barrier.task, safe_ctx, cfg.candidates, dyn)
     n, m, fdim = succ.shape
-    flat = succ.reshape(n * m, fdim)
-    b_succ = barrier.net.forward(flat)[:, 0].reshape(n, m)
-    gate = is_in_distribution_batch(rej, flat).reshape(n, m)
-    j = _gated_argmax(b_succ, gate)
-    b_next = b_succ[np.arange(n), j]
-    lie = (b_next - b_s) / cfg.dt
-    feas = np.maximum(-lie - cfg.gamma * b_s, 0.0)
-    return float(np.maximum(margin - b_s, 0.0).mean()
-                 + np.maximum(margin + b_u, 0.0).mean()
-                 + feas.mean())
+    b_succ = barrier.net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
+    b_next = b_succ[np.arange(n), _gated_argmax(b_succ, _gate_of(rej, succ))]
+    return _cbf_objective(b_s, b_u, b_next, cfg.dt, cfg.gamma, margin)[0]
+
+
+def _cbf_objective(b_s, b_u, b_next, dt, gamma, margin):
+    """The three-term hinge loss and its gradients w.r.t. b_s, b_u and b_next.
+
+    b_next[i] is the barrier value of safe sample i's chosen successor.
+    Returns (loss, dL/db_s, dL/db_u, dL/db_next).
+    """
+    lie = (b_next - b_s) / dt
+    feas = -lie - gamma * b_s
+    loss = (np.maximum(margin - b_s, 0.0).mean() + np.maximum(margin + b_u, 0.0).mean()
+            + np.maximum(feas, 0.0).mean())
+    safe_hinge = (b_s < margin).astype(float) / len(b_s)
+    unsafe_hinge = (b_u > -margin).astype(float) / len(b_u)
+    feas_hinge = (feas > 0).astype(float) / len(b_s)
+    return (float(loss), feas_hinge * (1.0 / dt - gamma) - safe_hinge, unsafe_hinge,
+            -feas_hinge / dt)
 
 
 def train_cbf(task: str, samples, dyn: DynamicsModel, rej: RejectionModel,
@@ -197,9 +202,9 @@ def train_cbf(task: str, samples, dyn: DynamicsModel, rej: RejectionModel,
     Returns (BarrierModel, report) where report carries the loss curve and
     held-out sign accuracies on the original safe/unsafe labels.
     """
-    feats_s, ctx_s = _collect(samples, LABEL_SAFE, task)
-    feats_u, _ = _collect(samples, LABEL_UNSAFE, task)
-    feats_n, ctx_n = _collect(samples, LABEL_UNLABELED, task)
+    feats_s, ctx_s = stack_samples(samples, LABEL_SAFE)
+    feats_u, _ = stack_samples(samples, LABEL_UNSAFE)
+    feats_n, ctx_n = stack_samples(samples, LABEL_UNLABELED)
     if len(feats_s) == 0 or len(feats_u) == 0:
         raise ValueError("need both safe and unsafe labeled samples")
 
@@ -229,19 +234,13 @@ def train_cbf(task: str, samples, dyn: DynamicsModel, rej: RejectionModel,
     params = net.parameters()
     opt = nn.Adam(params, lr=cfg.lr)
     curve = []
-    n_cand = len(cfg.candidates)
     for _ in range(cfg.epochs):
         # soft re-annotation against the current barrier
-        if len(ctx_n):
-            flat = succ_n.reshape(-1, succ_n.shape[2])
-            b_n = net.forward(flat)[:, 0].reshape(len(ctx_n), n_cand)
-            promoted = ((b_n >= 0.0) & gate_n).any(axis=1)
-        else:
-            promoted = np.zeros(0, bool)
+        promoted, demoted = annotate_unlabeled(succ_n, gate_n, barrier)
         ep_safe_feats = np.vstack([feats_s, feats_n[promoted]]) if promoted.any() else feats_s
         ep_succ = np.vstack([succ_s, succ_n[promoted]]) if promoted.any() else succ_s
         ep_gate = np.vstack([gate_s, gate_n[promoted]]) if promoted.any() else gate_s
-        ep_unsafe = np.vstack([feats_u, feats_n[~promoted]]) if (~promoted).any() else feats_u
+        ep_unsafe = np.vstack([feats_u, feats_n[demoted]]) if demoted.any() else feats_u
 
         ns, nu = len(ep_safe_feats), len(ep_unsafe)
         order_s = rng.permutation(ns)
@@ -284,32 +283,15 @@ def _batch_step(net, opt, params, xs, succ, gate, xu, cfg):
 
     stacked = np.vstack([xs, xu, chosen])
     out, cache = net.forward_cached(stacked)
-    b_s = out[:bs, 0]
-    b_u = out[bs:bs + bu, 0]
-    b_next = out[bs + bu:, 0]
-
-    lie = (b_next - b_s) / cfg.dt
-    feas = -lie - cfg.gamma * b_s
-    eps = cfg.margin
-    loss = (np.maximum(eps - b_s, 0.0).mean() + np.maximum(eps + b_u, 0.0).mean()
-            + np.maximum(feas, 0.0).mean())
-
+    loss, g_s, g_u, g_next = _cbf_objective(out[:bs, 0], out[bs:bs + bu, 0],
+                                            out[bs + bu:, 0], cfg.dt, cfg.gamma, cfg.margin)
     dY = np.zeros_like(out)
-    dY[:bs, 0] -= (b_s < eps).astype(float) / bs                     # safe hinge
-    dY[bs:bs + bu, 0] += (b_u > -eps).astype(float) / bu             # unsafe hinge
-    active = (feas > 0).astype(float) / bs                           # feasibility hinge
-    dY[:bs, 0] += active * (1.0 / cfg.dt - cfg.gamma)
-    dY[bs + bu:, 0] -= active / cfg.dt
+    dY[:bs, 0] = g_s
+    dY[bs:bs + bu, 0] = g_u
+    dY[bs + bu:, 0] = g_next
     dWs, dbs = net.backward(cache, dY)
     opt.step(params, dWs + dbs)
-    return float(loss)
-
-
-def _collect(samples, label, task):
-    chosen = [s for s in samples if s.label == label]
-    if not chosen:
-        return (np.empty((0, FEATURE_DIMS[task])), np.empty((0, CONTEXT_DIMS[task])))
-    return np.stack([s.features for s in chosen]), np.stack([s.context for s in chosen])
+    return loss
 
 
 def _holdout_mask(n, frac, rng):

@@ -17,13 +17,13 @@ def _cmd_generate_data(args):
     os.makedirs(args.out, exist_ok=True)
     platform = make_platform(args.platform, args.max_speed)
     trajs = data.generate_robot_trajectories(platform, args.duration, seed=args.seed)
-    traj_path = os.path.join(args.out, f"trajectories_{args.platform}.txt")
-    data.save_trajectories(traj_path, trajs)
+    robot_path = os.path.join(args.out, f"trajectories_{args.platform}.txt")
+    data.save_trajectories(robot_path, trajs)
     tracks = data.generate_pedestrian_tracks(2, args.ped_duration, (0.3, 1.2),
                                              seed=args.seed + 1)
     ped_path = os.path.join(args.out, "pedestrians.txt")
     data.save_trajectories(ped_path, tracks)
-    print(f"wrote {traj_path} ({sum(len(t) for t in trajs)} entries) and {ped_path}")
+    print(f"wrote {robot_path} ({sum(len(t) for t in trajs)} entries) and {ped_path}")
 
 
 def _cmd_train(args):
@@ -115,13 +115,6 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fast", action="store_true", help="reduced data/epochs for smoke runs")
     p.set_defaults(func=_cmd_train)
-    # train-dynamics/train-ood/train-cbf are thin aliases of the staged trainer
-    for alias in ("train-dynamics", "train-ood", "train-cbf"):
-        q = sub.add_parser(alias, help=f"alias of 'train' (runs the full staged pipeline)")
-        q.add_argument("--out", required=True)
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--fast", action="store_true")
-        q.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("run-scenario", help="run a seeded scenario suite")
     p.add_argument("--models", required=True, help="bundle directory from 'train'")

@@ -224,10 +224,10 @@ def label_static(traj: np.ndarray, obstacle, cfg: LabelingConfig):
     return samples
 
 
-def _align_by_time(traj_t: np.ndarray, ped_t: np.ndarray):
+def _align_by_time(t_a: np.ndarray, t_b: np.ndarray):
     """Indices pairing entries of two 0.1 s series with matching timestamps."""
-    ra = np.round(traj_t / DT).astype(int)
-    rb = np.round(ped_t / DT).astype(int)
+    ra = np.round(t_a / DT).astype(int)
+    rb = np.round(t_b / DT).astype(int)
     common, ia, ib = np.intersect1d(ra, rb, return_indices=True)
     if len(common) == 0:
         raise ValueError("time ranges do not overlap")
@@ -255,21 +255,21 @@ def label_dynamic(traj: np.ndarray, ped: np.ndarray, cfg: LabelingConfig):
     return samples
 
 
-def label_multirobot(traj_a: np.ndarray, traj_b: np.ndarray, cfg: LabelingConfig):
+def label_multirobot(robot_a: np.ndarray, robot_b: np.ndarray, cfg: LabelingConfig):
     """Labels from robot A's perspective."""
-    traj_a = np.asarray(traj_a, dtype=float)
-    traj_b = np.asarray(traj_b, dtype=float)
-    ia, ib = _align_by_time(traj_a[:, 0], traj_b[:, 0])
-    sep = np.linalg.norm(traj_a[ia, 1:3] - traj_b[ib, 1:3], axis=1)
+    robot_a = np.asarray(robot_a, dtype=float)
+    robot_b = np.asarray(robot_b, dtype=float)
+    ia, ib = _align_by_time(robot_a[:, 0], robot_b[:, 0])
+    sep = np.linalg.norm(robot_a[ia, 1:3] - robot_b[ib, 1:3], axis=1)
     labels = split_labels(sep, cfg)
     samples = []
     for k in range(len(ia)):
         label = labels[k]
         if label == "discard":
             continue
-        sa = RobotState(*traj_a[ia[k], 1:6])
-        sb = RobotState(*traj_b[ib[k], 1:6])
-        ctx = np.concatenate([traj_a[ia[k], 1:6], traj_b[ib[k], 1:6]])
+        sa = RobotState(*robot_a[ia[k], 1:6])
+        sb = RobotState(*robot_b[ib[k], 1:6])
+        ctx = np.concatenate([robot_a[ia[k], 1:6], robot_b[ib[k], 1:6]])
         samples.append(LabeledSample("multirobot", features_multirobot(sa, sb), label, ctx))
     return samples
 
@@ -360,9 +360,9 @@ def build_multirobot_dataset(trajectories, cfg: LabelingConfig, seed: int, pairs
     return samples
 
 
-def stack_samples(samples, label=None):
+def stack_samples(samples, label):
     """(features, contexts) arrays for the samples carrying the given label."""
-    chosen = [s for s in samples if label is None or s.label == label]
+    chosen = [s for s in samples if s.label == label]
     if not chosen:
         task = samples[0].task if samples else "static"
         return (np.empty((0, FEATURE_DIMS[task])), np.empty((0, CONTEXT_DIMS[task])))
@@ -374,7 +374,7 @@ def stack_samples(samples, label=None):
 # file formats
 
 def save_trajectories(path, trajectories):
-    """One line per entry: traj_index then the 8 trajectory columns."""
+    """One line per entry: the trajectory index, then the 8 trajectory columns."""
     with open(path, "w") as fh:
         for k, traj in enumerate(trajectories):
             for row in np.asarray(traj):

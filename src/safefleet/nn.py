@@ -26,7 +26,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 100
     seed: int = 0
-    optimizer: str = "adam"   # "adam" | "sgd"
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -169,15 +168,6 @@ class Adam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-class Sgd:
-    def __init__(self, params, lr=1e-3):
-        self.lr = lr
-
-    def step(self, params, grads):
-        for p, g in zip(params, grads):
-            p -= self.lr * g
-
-
 def mse_loss(pred, target):
     """Mean squared error over all entries; returns (loss, dLoss/dpred)."""
     diff = pred - target
@@ -199,8 +189,12 @@ def bce_loss(pred, target, weights=None):
     return float(per.sum() / n), grad
 
 
-def train(model: Mlp, X, Y, loss_fn, config: TrainConfig):
-    """Seeded mini-batch descent. Returns (model, per-epoch mean loss)."""
+def train(model: Mlp, X, Y, loss_fn, config: TrainConfig, weights=None):
+    """Seeded mini-batch Adam. Returns (model, per-epoch mean loss).
+
+    With per-row `weights`, each batch's rows are passed to the loss as
+    loss_fn(pred, target, weights=...).
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if len(X) == 0:
@@ -209,7 +203,7 @@ def train(model: Mlp, X, Y, loss_fn, config: TrainConfig):
         Y = Y[:, None]
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
-    opt = Adam(params, lr=config.lr) if config.optimizer == "adam" else Sgd(params, lr=config.lr)
+    opt = Adam(params, lr=config.lr)
     curve = []
     n = len(X)
     for _ in range(config.epochs):
@@ -218,9 +212,12 @@ def train(model: Mlp, X, Y, loss_fn, config: TrainConfig):
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             pred, cache = model.forward_cached(X[idx])
-            loss, dpred = loss_fn(pred, Y[idx])
+            if weights is None:
+                loss, dpred = loss_fn(pred, Y[idx])
+            else:
+                loss, dpred = loss_fn(pred, Y[idx], weights=weights[idx])
             if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became {loss} at step {opt.t if hasattr(opt, 't') else '?'}")
+                raise TrainingDiverged(f"loss became {loss} at step {opt.t}")
             dWs, dbs = model.backward(cache, dpred)
             opt.step(params, dWs + dbs)
             losses.append(loss)
@@ -306,4 +303,6 @@ def load_model(path):
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             model.weights[i] = read_array((fan_out, fan_in))
             model.biases[i] = read_array((fan_out,))
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the arrays its header declares")
     return model, header["role"]

@@ -63,32 +63,8 @@ def train_ood(features: np.ndarray, c: float, hidden=(32, 32), seed: int = 0,
     net.set_input_scaler(mu, np.where(sd > 1e-8, sd, 1.0))
 
     order = rng.permutation(len(X))
-    X, Y, W = X[order], Y[order], W[order]
-
-    def weighted_bce(pred, target):
-        # targets carry the class weight in their sign-free companion array via closure
-        return nn.bce_loss(pred, target, weights=w_batch)
-
-    # manual batch loop so per-sample weights follow the shuffle
-    params = net.parameters()
-    opt = nn.Adam(params, lr=config.lr)
-    run_rng = np.random.default_rng(config.seed)
-    for _ in range(config.epochs):
-        perm = run_rng.permutation(len(X))
-        for start in range(0, len(X), config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            w_batch = W[idx]
-            pred, cache = net.forward_cached(X[idx])
-            loss, dpred = weighted_bce(pred, Y[idx])
-            if not np.isfinite(loss):
-                raise nn.TrainingDiverged(f"OOD training loss became {loss}")
-            dWs, dbs = net.backward(cache, dpred)
-            opt.step(params, dWs + dbs)
+    nn.train(net, X[order], Y[order], nn.bce_loss, config, weights=W[order])
     return RejectionModel(net=net, c=c)
-
-
-def scores(model: RejectionModel, x) -> np.ndarray:
-    return model.net.forward(x)
 
 
 def is_in_distribution_batch(model: RejectionModel, X: np.ndarray) -> np.ndarray:

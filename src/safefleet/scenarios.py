@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 import yaml
@@ -20,8 +20,7 @@ from .controller import AgentTrack, ControllerConfig, select_control
 from .dynamics import DynamicsModel
 from .fleet import Orchestrator, Task, WarehouseMap
 from .world import (DT, Control, PedestrianTrack, PedestrianWalker, RobotState,
-                    candidate_controls, make_platform, make_world, min_separation,
-                    step_world)
+                    candidate_controls, make_platform, make_world, step_world)
 
 STATIONARY_DISPLACEMENT = 0.005   # m per tick; slower ticks do not count as moving
 COLLISION_DISTANCE = 0.5          # m; separation below this counts as a collision tick
@@ -50,6 +49,8 @@ class ScenarioConfig:
     start_jitter: float = 0.0
 
     def __post_init__(self):
+        if self.mode not in ("unit_task", "pick_and_place"):
+            raise ValueError(f"unknown scenario mode {self.mode!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.max_speed not in (0.5, 1.0, 1.5):
@@ -57,6 +58,9 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
+        unknown = set(raw) - {f.name for f in fields(ScenarioConfig)}
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         return ScenarioConfig(**raw)
 
     def to_dict(self) -> dict:
@@ -169,7 +173,6 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
         histories[pid] = [walker.position()] * 3
 
     log = []
-    separations = {rid: [] for rid in robots}
     reached = set()
     steps = int(round(cfg.time_budget / DT))
     for _ in range(steps):
@@ -198,8 +201,6 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
                                            compensate_delay=cfg.compensate_delay)
 
         _log_tick(log, world)
-        for rid in robots:
-            separations[rid].append(min_separation(world, rid))
         world = step_world(world, commands)
         for rid in robots:
             histories[rid] = histories[rid][1:] + [world.robot_state(rid).position]
@@ -213,13 +214,9 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
                     reached.add(rid)
             if len(reached) == len(robots):
                 _log_tick(log, world)
-                for rid in robots:
-                    separations[rid].append(min_separation(world, rid))
                 break
         elif orchestrator.all_done():
             _log_tick(log, world)
-            for rid in robots:
-                separations[rid].append(min_separation(world, rid))
             break
 
     if cfg.mode == "unit_task":
@@ -227,15 +224,7 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
     else:
         success = orchestrator.all_done()
 
-    metrics = {}
-    for rid in robots:
-        m = compute_metrics(log, rid)
-        metrics[rid] = Metrics(mean_velocity=m.mean_velocity,
-                               min_distance=min(separations[rid]) if separations[rid] else math.inf,
-                               path_length=m.path_length,
-                               success=success,
-                               collision_count=sum(1 for s in separations[rid]
-                                                   if s < COLLISION_DISTANCE))
+    metrics = {rid: replace(compute_metrics(log, rid), success=success) for rid in robots}
     events = orchestrator.events if orchestrator is not None else []
     return RepResult(seed=seed, log=log, metrics=metrics, success=success, events=events)
 
@@ -344,7 +333,7 @@ def summarize(result: ScenarioResult):
 
 
 def emit_report(results, out_dir):
-    """Comma-separated summary table plus per-run trajectory files."""
+    """Comma-separated summary table; returns its path."""
     if not results:
         raise ValueError("need at least one scenario result")
     os.makedirs(out_dir, exist_ok=True)
@@ -361,13 +350,6 @@ def emit_report(results, out_dir):
                      f"{s['mean_velocity']:.4f},{s['mean_velocity_std']:.4f},"
                      f"{s['distance']:.4f},{s['distance_std']:.4f},"
                      f"{s['path_length']:.4f},{s['success_rate']:.2f}\n")
-    for res in results:
-        for k, rep in enumerate(res.reps):
-            path = os.path.join(out_dir, f"traj_{res.config.name}_rep{k}.csv")
-            with open(path, "w") as fh:
-                fh.write("time,id,x,y\n")
-                for row in rep.log:
-                    fh.write(f"{row[0]:.1f},{row[1]},{row[3]:.6f},{row[4]:.6f}\n")
     return table_path
 
 

@@ -264,6 +264,8 @@ def step_world(world: WorldState, commands: dict) -> WorldState:
     for rid in sorted(world.robots):
         agent = world.robots[rid]
         cmd = commands.get(rid, Control(0.0, 0.0))
+        if not (math.isfinite(cmd.u_v) and math.isfinite(cmd.u_omega)):
+            raise ValueError(f"non-finite command for robot {rid!r}: {cmd}")
         queue = agent.queue + (cmd,)
         applied, queue = queue[0], queue[1:]
         noise = (0.0, 0.0)
@@ -276,20 +278,3 @@ def step_world(world: WorldState, commands: dict) -> WorldState:
     return WorldState(time=world.time + world.dt, robots=robots, pedestrians=peds,
                       obstacles=world.obstacles, dt=world.dt,
                       noise_sigma=world.noise_sigma, rng=world.rng)
-
-
-def min_separation(world: WorldState, robot_id) -> float:
-    """Distance from the robot to the nearest other agent or obstacle; inf if alone."""
-    if robot_id not in world.robots:
-        raise KeyError(f"unknown robot id {robot_id!r}")
-    p = world.robots[robot_id].state.position
-    best = math.inf
-    for rid, agent in world.robots.items():
-        if rid == robot_id:
-            continue
-        best = min(best, float(np.linalg.norm(agent.state.position - p)))
-    for walker in world.pedestrians.values():
-        best = min(best, float(np.linalg.norm(walker.position() - p)))
-    for obs in world.obstacles:
-        best = min(best, float(np.linalg.norm(np.asarray(obs, dtype=float) - p)))
-    return best

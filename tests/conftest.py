@@ -2,9 +2,14 @@
 
 The full training pipeline takes a minute or two, so the bundle is built once
 with the default seed and persisted under tests/.cache/bundle; later sessions
-load it back through the same manifest-verified path users go through.
+load it back through the same manifest-verified path users go through.  A
+`fingerprint` file next to the manifest keys the cache on the pipeline config
+and the sources of the modules training runs: when either changes, the bundle
+is rebuilt instead of testing new training code against old models.
 """
+import hashlib
 import os
+import sys
 
 import pytest
 import yaml
@@ -15,15 +20,37 @@ from safefleet.world import make_platform
 CACHE_DIR = os.path.join(os.path.dirname(__file__), ".cache")
 BUNDLE_DIR = os.path.join(CACHE_DIR, "bundle")
 PIPELINE_SEED = 0
+TRAINING_MODULES = ("world", "nn", "data", "dynamics", "ood", "barrier", "pipeline")
+
+
+def bundle_fingerprint():
+    """sha256 of the seed-0 PipelineConfig repr and the training modules' source bytes."""
+    h = hashlib.sha256(repr(pipeline.PipelineConfig(seed=PIPELINE_SEED)).encode())
+    for name in TRAINING_MODULES:
+        with open(sys.modules[f"safefleet.{name}"].__file__, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def _read_text(path):
+    try:
+        with open(path) as fh:
+            return fh.read().strip()
+    except FileNotFoundError:
+        return None
 
 
 @pytest.fixture(scope="session")
 def bundle_and_report():
     manifest = os.path.join(BUNDLE_DIR, "manifest.yaml")
-    if not os.path.exists(manifest):
+    stamp = os.path.join(BUNDLE_DIR, "fingerprint")
+    fingerprint = bundle_fingerprint()
+    if not os.path.exists(manifest) or _read_text(stamp) != fingerprint:
         cfg = pipeline.PipelineConfig(seed=PIPELINE_SEED)
         bundle, report = pipeline.build_models(cfg)
         pipeline.save_bundle(bundle, BUNDLE_DIR, report=report)
+        with open(stamp, "w") as fh:
+            fh.write(fingerprint + "\n")
     bundle = pipeline.load_bundle(BUNDLE_DIR)
     with open(manifest) as fh:
         report = yaml.safe_load(fh)["training_report"]

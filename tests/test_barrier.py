@@ -4,7 +4,8 @@ import pytest
 from safefleet import nn
 from safefleet.barrier import (BarrierModel, CbfTrainConfig, advance_contexts,
                                annotate_unlabeled, best_safe_control, cbf_loss,
-                               discrete_lie_derivative, _gated_argmax)
+                               discrete_lie_derivative, successor_features,
+                               _batch_step, _gate_of, _gated_argmax)
 from safefleet.data import features_from_context
 from safefleet.dynamics import predict_next_batch, zero_dynamics
 from safefleet.ood import RejectionModel
@@ -146,30 +147,29 @@ class TestBestSafeControl:
 class TestAnnotateUnlabeled:
     CTXS = np.array([[4.0, 4.0, 0.0, 0.5, 0.0, 6.0, 4.0],
                      [2.0, 2.0, 1.0, 0.2, 0.1, 2.5, 2.0]])
+    SUCC = successor_features("static", CTXS, CANDS, FREIGHT_DYN)
+
+    def annotate(self, b, rej):
+        return annotate_unlabeled(self.SUCC, _gate_of(rej, self.SUCC), b)
 
     def test_positive_barrier_promotes_all(self):
         b = constant_barrier("static", 1.0, 5)
-        promoted, demoted = annotate_unlabeled(self.CTXS, b, FREIGHT_DYN,
-                                               accept_all_rejection(5), CANDS)
+        promoted, demoted = self.annotate(b, accept_all_rejection(5))
         assert promoted.all() and not demoted.any()
 
     def test_negative_barrier_demotes_all(self):
         b = constant_barrier("static", -1.0, 5)
-        promoted, demoted = annotate_unlabeled(self.CTXS, b, FREIGHT_DYN,
-                                               accept_all_rejection(5), CANDS)
+        promoted, demoted = self.annotate(b, accept_all_rejection(5))
         assert demoted.all() and not promoted.any()
 
     def test_ood_gate_blocks_promotion(self):
         b = constant_barrier("static", 1.0, 5)
-        promoted, demoted = annotate_unlabeled(self.CTXS, b, FREIGHT_DYN,
-                                               reject_all_rejection(5), CANDS)
+        promoted, demoted = self.annotate(b, reject_all_rejection(5))
         assert demoted.all()
 
     def test_matches_exhaustive_enumeration(self):
         b = distance_barrier()
-        rej = accept_all_rejection(5)
-        promoted, _ = annotate_unlabeled(self.CTXS, b, FREIGHT_DYN, rej, CANDS)
-        from safefleet.barrier import successor_features
+        promoted, _ = self.annotate(b, accept_all_rejection(5))
         for i, ctx in enumerate(self.CTXS):
             feats = successor_features("static", ctx[None, :], CANDS, FREIGHT_DYN)[0]
             want = bool((b.value(feats) >= 0.0).any())
@@ -218,6 +218,29 @@ class TestCbfLoss:
         with pytest.raises(ValueError):
             cbf_loss(b, np.empty((0, 5)), np.empty((0, 7)), np.ones((1, 5)),
                      FREIGHT_DYN, accept_all_rejection(5), cfg)
+
+    def test_batch_step_loss_is_cbf_loss(self):
+        # the loss a training step reports, taken before its Adam update, is
+        # this objective on the same samples
+        rng = np.random.default_rng(4)
+        n = 24
+        safe_ctx = np.column_stack([rng.uniform(0, 4, (n, 2)), rng.uniform(-3, 3, n),
+                                    rng.uniform(0, 1, n), rng.uniform(-1, 1, n),
+                                    rng.uniform(0, 4, (n, 2))])
+        safe_feats = features_from_context("static", safe_ctx)
+        unsafe_feats = features_from_context("static", safe_ctx[:10] * 0.9)
+        net = nn.Mlp([5, 16, 1], out_activation="identity", seed=3)
+        barrier = BarrierModel(net=net, task="static")
+        rej = accept_all_rejection(5)
+        cfg = CbfTrainConfig(candidates=CANDS)
+        want = cbf_loss(barrier, safe_feats, safe_ctx, unsafe_feats, FREIGHT_DYN, rej, cfg,
+                        margin=cfg.margin)
+        succ = successor_features("static", safe_ctx, CANDS, FREIGHT_DYN)
+        params = net.parameters()
+        got = _batch_step(net, nn.Adam(params, lr=cfg.lr), params, safe_feats, succ,
+                          _gate_of(rej, succ), unsafe_feats, cfg)
+        assert want > 0.05   # all three hinges are active on this batch
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestConfig:

@@ -144,6 +144,22 @@ class TestTrain:
         with pytest.raises(nn.TrainingDiverged):
             nn.train(m, np.ones((4, 1)), np.ones(4), bad_loss, nn.TrainConfig(epochs=1))
 
+    def test_weights_follow_the_shuffle(self):
+        # each row's weight is 10x its target, so a batch whose weights were
+        # indexed apart from its rows is caught by the loss itself
+        X = np.arange(40.0)[:, None]
+        Y = np.arange(40.0)[:, None]
+        seen = []
+
+        def checked_mse(pred, target, weights):
+            assert np.array_equal(weights, 10.0 * target)
+            seen.append(len(target))
+            return nn.mse_loss(pred, target)
+
+        nn.train(nn.Mlp([1, 1], seed=0), X, Y, checked_mse,
+                 nn.TrainConfig(batch_size=16, epochs=2, seed=3), weights=10.0 * Y)
+        assert seen == [16, 16, 8] * 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             nn.TrainConfig(lr=0.0)
@@ -185,5 +201,14 @@ class TestSaveLoad:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mlp"
         path.write_bytes(b"not a model")
+        with pytest.raises(ValueError):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + b"\0" * 8])
+    def test_size_mismatch_rejected(self, edit, tmp_path):
+        # truncated, or with bytes beyond the arrays the header declares
+        path = tmp_path / "model.mlp"
+        nn.save_model(nn.Mlp([3, 4, 2], seed=0), path)
+        path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(ValueError):
             nn.load_model(path)

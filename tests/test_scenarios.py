@@ -62,6 +62,14 @@ class TestComputeMetrics:
         assert m.min_distance == pytest.approx(0.3)
         assert m.collision_count == 2  # ticks at 0.4 and 0.3
 
+    def test_nearest_of_several_agents(self):
+        rows = [(0.0, "r0", "robot", 0.0, 0.0, 0.0, 0.0, 0.0),
+                (0.0, "p0", "pedestrian", 0.0, 0.7, 0.0, 0.0, 0.0),
+                (0.0, "o0", "obstacle", 3.0, 4.0, 0.0, 0.0, 0.0),
+                (0.0, "r1", "robot", 1.0, 0.0, 0.0, 0.0, 0.0)]
+        assert compute_metrics(rows, "r0").min_distance == pytest.approx(0.7)
+        assert compute_metrics(rows, "r1").min_distance == pytest.approx(1.0)
+
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics([], "r0")
@@ -116,11 +124,7 @@ class TestReports:
         lines = text.splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "static"
-        traj = tmp_path / "traj_s_rep0.csv"
-        assert traj.exists()
-        rows = traj.read_text().splitlines()
-        assert rows[0] == "time,id,x,y"
-        assert len(rows) - 1 == len(result.reps[0].log)
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
     def test_emit_report_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -134,6 +138,16 @@ class TestScenarioConfig:
         save_scenario(cfg, path)
         loaded = load_scenario(path)
         assert loaded.to_dict() == cfg.to_dict()
+
+    def test_unknown_keys_named(self):
+        raw = {**unit_task_config("static", 1, 1.0).to_dict(), "max_sped": 1.0, "robts": []}
+        with pytest.raises(ValueError, match=r"\['max_sped', 'robts'\]"):
+            ScenarioConfig.from_dict(raw)
+
+    def test_unknown_mode_rejected(self):
+        raw = {**unit_task_config("static", 1, 1.0).to_dict(), "mode": "unit_taks"}
+        with pytest.raises(ValueError, match="unit_taks"):
+            ScenarioConfig.from_dict(raw)
 
     def test_invalid_max_speed_rejected(self):
         with pytest.raises(ValueError):

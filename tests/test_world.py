@@ -8,7 +8,7 @@ from safefleet.world import (ANGULAR_CANDIDATES, DT, LINEAR_CANDIDATES, Control,
                              PedestrianTrack, PedestrianWalker, PlatformParams,
                              RobotState, apply_ground_truth_dynamics,
                              candidate_controls, make_platform, make_world,
-                             min_separation, step_world, wrap_angle)
+                             step_world, wrap_angle)
 
 FREIGHT = make_platform("freight", 1.0)
 MEGAROVER = make_platform("megarover", 1.0)
@@ -141,6 +141,12 @@ class TestStepWorld:
         with pytest.raises(KeyError):
             step_world(world, {"ghost": Control(0, 0)})
 
+    @pytest.mark.parametrize("cmd", [Control(float("nan"), 0.0), Control(0.5, float("inf"))])
+    def test_non_finite_command_rejected(self, cmd):
+        world = make_world({"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)})
+        with pytest.raises(ValueError, match="non-finite"):
+            step_world(world, {"r": cmd})
+
     def test_determinism_with_noise(self):
         robots = {"r": (RobotState(1, 1, 0.3, 0.5, 0.1), FREIGHT)}
         runs = []
@@ -179,25 +185,3 @@ class TestPedestrianTrack:
             PedestrianTrack(((0, 0), (1, 0)), (0.0,))
         with pytest.raises(ValueError):
             PedestrianTrack(((0, 0), (1, 0)), (1.0, 1.0))
-
-
-class TestMinSeparation:
-    def test_three_four_five(self):
-        world = make_world({"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)}, obstacles=[(3, 4)])
-        assert min_separation(world, "r") == pytest.approx(5.0)
-
-    def test_alone_is_infinite(self):
-        world = make_world({"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)})
-        assert min_separation(world, "r") == math.inf
-
-    def test_pairwise_minimum(self):
-        track = PedestrianTrack(((0.0, 0.7), (0.0, 5.0)), (1.0,))
-        world = make_world({"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)},
-                           pedestrians={"p": PedestrianWalker(track)},
-                           obstacles=[(1, 0)])
-        assert min_separation(world, "r") == pytest.approx(0.7)
-
-    def test_unknown_robot(self):
-        world = make_world({"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)})
-        with pytest.raises(KeyError):
-            min_separation(world, "nope")
