@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nn
 from .data import (FEATURE_DIMS, LABEL_SAFE, LABEL_UNLABELED, LABEL_UNSAFE,
-                   features_from_context, stack_samples)
+                   features_from_context)
 from .dynamics import DynamicsModel, predict_next_batch
 from .ood import RejectionModel, is_in_distribution_batch
 from .world import DT, coast_step_batch
@@ -195,16 +195,19 @@ def _cbf_objective(b_s, b_u, b_next, dt, gamma, margin):
             -feas_hinge / dt)
 
 
-def train_cbf(task: str, samples, dyn: DynamicsModel, rej: RejectionModel,
-              cfg: CbfTrainConfig):
-    """Alternate unlabeled annotation and gradient epochs.
+def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: DynamicsModel,
+              rej: RejectionModel, cfg: CbfTrainConfig):
+    """Alternate unlabeled annotation and gradient epochs on a (contexts, labels) set.
 
     Returns (BarrierModel, report) where report carries the loss curve and
     held-out sign accuracies on the original safe/unsafe labels.
     """
-    feats_s, ctx_s = stack_samples(samples, LABEL_SAFE)
-    feats_u, _ = stack_samples(samples, LABEL_UNSAFE)
-    feats_n, ctx_n = stack_samples(samples, LABEL_UNLABELED)
+    feats = features_from_context(task, contexts)
+    safe, unsafe, unlabeled = (labels == label
+                               for label in (LABEL_SAFE, LABEL_UNSAFE, LABEL_UNLABELED))
+    feats_s, ctx_s = feats[safe], contexts[safe]
+    feats_u = feats[unsafe]
+    feats_n, ctx_n = feats[unlabeled], contexts[unlabeled]
     if len(feats_s) == 0 or len(feats_u) == 0:
         raise ValueError("need both safe and unsafe labeled samples")
 

@@ -1,9 +1,11 @@
 """Dataset construction.
 
-Generates teleop-style robot trajectories and random-waypoint pedestrian
-tracks in simulation, then builds the three labeled training sets (static
-obstacle, dynamic obstacle, robot-robot) with safe/unsafe/unlabeled splits
-and the task-specific feature encodings.
+Generates teleop-style robot trajectories (stepped by the simulator's
+`world.kinematics_step_batch`) and random-waypoint pedestrian tracks, then
+builds the three labeled training sets (static obstacle, dynamic obstacle,
+robot-robot).  A labeled set is a pair of arrays: (N, context_dim) raw
+contexts and N safe/unsafe/unlabeled labels.  `features_from_context` is the
+one feature encoding of a context.
 
 Trajectory arrays have shape (T, 8) with columns t, x, y, theta, v, omega,
 u_v, u_omega at a fixed 0.1 s spacing.  Pedestrian arrays are (T, 3):
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import (DT, Control, PlatformParams, RobotState,
-                    apply_ground_truth_dynamics, candidate_controls, wrap_angle)
+from .world import (DT, PlatformParams, candidate_controls, kinematics_step_batch,
+                    wrap_angle)
 
 TASKS = ("static", "dynamic", "multirobot")
 FEATURE_DIMS = {"static": 5, "dynamic": 9, "multirobot": 8}
@@ -52,36 +54,8 @@ TASK_LABELING = {
 }
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    task: str
-    features: np.ndarray
-    label: str
-    context: np.ndarray
-
-
 # ---------------------------------------------------------------------------
-# feature encodings
-
-def features_static(state: RobotState, obstacle) -> np.ndarray:
-    return np.array([obstacle[0] - state.x, obstacle[1] - state.y,
-                     state.theta, state.v, state.omega])
-
-
-def features_dynamic(state: RobotState, ped_history) -> np.ndarray:
-    """ped_history: last 3 pedestrian positions, oldest first."""
-    hist = np.asarray(ped_history, dtype=float)
-    if hist.shape != (3, 2):
-        raise ValueError("need exactly 3 pedestrian positions")
-    rel = hist - np.array([state.x, state.y])
-    return np.concatenate([[state.theta, state.v, state.omega], rel.ravel()])
-
-
-def features_multirobot(state_a: RobotState, state_b: RobotState) -> np.ndarray:
-    return np.array([state_a.x - state_b.x, state_a.y - state_b.y,
-                     state_a.theta, state_b.theta,
-                     state_a.v, state_a.omega, state_b.v, state_b.omega])
-
+# feature encoding
 
 def features_from_context(task: str, contexts: np.ndarray) -> np.ndarray:
     """Vectorized feature encoding from (N, context_dim) raw contexts."""
@@ -100,25 +74,25 @@ def features_from_context(task: str, contexts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory generation
 
-def _steer_inward(state: RobotState, arena, candidates) -> Control:
+def _steer_inward(x, y, theta, arena, candidates) -> np.ndarray:
     """Pick a gentle candidate turning the robot back toward the arena center."""
     cx, cy = arena[0] / 2.0, arena[1] / 2.0
-    bearing = math.atan2(cy - state.y, cx - state.x)
-    err = float(wrap_angle(bearing - state.theta))
+    bearing = math.atan2(cy - y, cx - x)
+    err = float(wrap_angle(bearing - theta))
     angulars = np.unique(candidates[:, 1])
     u_w = angulars.max() if err > 0 else angulars.min()
-    return Control(0.3, float(u_w))
+    return np.array([0.3, u_w])
 
 
-def _near_wall_heading_out(state: RobotState, arena, margin=1.8) -> bool:
-    hx, hy = math.cos(state.theta), math.sin(state.theta)
-    if state.x < margin and hx < 0:
+def _near_wall_heading_out(x, y, theta, arena, margin=1.8) -> bool:
+    hx, hy = math.cos(theta), math.sin(theta)
+    if x < margin and hx < 0:
         return True
-    if state.x > arena[0] - margin and hx > 0:
+    if x > arena[0] - margin and hx > 0:
         return True
-    if state.y < margin and hy < 0:
+    if y < margin and hy < 0:
         return True
-    if state.y > arena[1] - margin and hy > 0:
+    if y > arena[1] - margin and hy > 0:
         return True
     return False
 
@@ -127,7 +101,8 @@ def generate_robot_trajectories(platform: PlatformParams, duration: float, seed:
                                 arena=(12.0, 12.0), chunk_seconds: float = 60.0,
                                 noise_sigma: float = 0.01):
     """Scripted pseudo-teleop: random dwell-switched candidate controls with
-    wall-avoidance steering.  Returns a list of (T, 8) trajectory arrays."""
+    wall-avoidance steering, stepped through the simulator's kinematics with
+    velocity noise.  Returns a list of (T, 8) trajectory arrays."""
     if duration < 60:
         raise ValueError("duration must be at least 60 s")
     rng = np.random.default_rng(seed)
@@ -135,9 +110,10 @@ def generate_robot_trajectories(platform: PlatformParams, duration: float, seed:
     total_steps = int(round(duration / DT))
     chunk_steps = int(round(chunk_seconds / DT))
     trajectories = []
-    state = RobotState(rng.uniform(2, arena[0] - 2), rng.uniform(2, arena[1] - 2),
-                       rng.uniform(-math.pi, math.pi), 0.0, 0.0)
-    control = Control(*candidates[rng.integers(len(candidates))])
+    state = np.array([[rng.uniform(2, arena[0] - 2), rng.uniform(2, arena[1] - 2),
+                       rng.uniform(-math.pi, math.pi), 0.0, 0.0]])
+    control = candidates[rng.integers(len(candidates))]
+    residual = None
     dwell_left = 0
     done = 0
     while done < total_steps:
@@ -145,15 +121,20 @@ def generate_robot_trajectories(platform: PlatformParams, duration: float, seed:
         rows = np.empty((n, 8))
         for i in range(n):
             if dwell_left <= 0:
-                control = Control(*candidates[rng.integers(len(candidates))])
+                control = candidates[rng.integers(len(candidates))]
                 dwell_left = int(rng.uniform(0.5, 3.0) / DT)
             cmd = control
-            if _near_wall_heading_out(state, arena):
-                cmd = _steer_inward(state, arena, candidates)
-            rows[i] = [(done + i) * DT, state.x, state.y, state.theta,
-                       state.v, state.omega, cmd.u_v, cmd.u_omega]
-            noise = tuple(rng.normal(0.0, noise_sigma, 2)) if noise_sigma > 0 else (0.0, 0.0)
-            state = apply_ground_truth_dynamics(state, cmd, platform, DT, velocity_noise=noise)
+            x, y, theta = state[0, :3].tolist()
+            if _near_wall_heading_out(x, y, theta, arena):
+                cmd = _steer_inward(x, y, theta, arena, candidates)
+            rows[i, 0] = (done + i) * DT
+            rows[i, 1:6] = state[0]
+            rows[i, 6:8] = cmd
+            if noise_sigma > 0:
+                residual = np.zeros((1, 4))
+                residual[0, 2:] = rng.normal(0.0, noise_sigma, 2)
+            state = kinematics_step_batch(state, cmd[None, :], platform.m_v, platform.m_omega,
+                                          platform.max_speed, platform.max_omega, DT, residual)
             dwell_left -= 1
         rows[:, 0] -= rows[0, 0]  # each trajectory starts at t = 0
         trajectories.append(rows)
@@ -209,19 +190,19 @@ def split_labels(separations: np.ndarray, cfg: LabelingConfig):
     return labels
 
 
+def _kept(contexts: np.ndarray, labels: np.ndarray):
+    """(contexts, labels) without the discarded rows."""
+    keep = labels != "discard"
+    return contexts[keep], labels[keep]
+
+
 def label_static(traj: np.ndarray, obstacle, cfg: LabelingConfig):
+    """(contexts, labels) of a trajectory against one fixed obstacle."""
     traj = np.asarray(traj, dtype=float)
     obstacle = np.asarray(obstacle, dtype=float)
     sep = np.linalg.norm(traj[:, 1:3] - obstacle, axis=1)
-    labels = split_labels(sep, cfg)
-    samples = []
-    for row, label in zip(traj, labels):
-        if label == "discard":
-            continue
-        state = RobotState(*row[1:6])
-        ctx = np.concatenate([row[1:6], obstacle])
-        samples.append(LabeledSample("static", features_static(state, obstacle), label, ctx))
-    return samples
+    ctx = np.hstack([traj[:, 1:6], np.broadcast_to(obstacle, (len(traj), 2))])
+    return _kept(ctx, split_labels(sep, cfg))
 
 
 def _align_by_time(t_a: np.ndarray, t_b: np.ndarray):
@@ -235,6 +216,8 @@ def _align_by_time(t_a: np.ndarray, t_b: np.ndarray):
 
 
 def label_dynamic(traj: np.ndarray, ped: np.ndarray, cfg: LabelingConfig):
+    """(contexts, labels) of a trajectory against a pedestrian track; the
+    first two aligned steps lack a 3-step pedestrian history and are dropped."""
     traj = np.asarray(traj, dtype=float)
     ped = np.asarray(ped, dtype=float)
     ia, ib = _align_by_time(traj[:, 0], ped[:, 0])
@@ -242,40 +225,29 @@ def label_dynamic(traj: np.ndarray, ped: np.ndarray, cfg: LabelingConfig):
     pxy = ped[ib, 1:3]
     sep = np.linalg.norm(rxy - pxy, axis=1)
     labels = split_labels(sep, cfg)
-    samples = []
-    for k in range(2, len(ia)):  # need 3 steps of pedestrian history
-        label = labels[k]
-        if label == "discard":
-            continue
-        row = traj[ia[k]]
-        state = RobotState(*row[1:6])
-        hist = pxy[k - 2:k + 1]
-        ctx = np.concatenate([row[1:6], hist.ravel()])
-        samples.append(LabeledSample("dynamic", features_dynamic(state, hist), label, ctx))
-    return samples
+    ctx = np.hstack([traj[ia[2:], 1:6], pxy[:-2], pxy[1:-1], pxy[2:]])
+    return _kept(ctx, labels[2:])
 
 
 def label_multirobot(robot_a: np.ndarray, robot_b: np.ndarray, cfg: LabelingConfig):
-    """Labels from robot A's perspective."""
+    """(contexts, labels) from robot A's perspective."""
     robot_a = np.asarray(robot_a, dtype=float)
     robot_b = np.asarray(robot_b, dtype=float)
     ia, ib = _align_by_time(robot_a[:, 0], robot_b[:, 0])
     sep = np.linalg.norm(robot_a[ia, 1:3] - robot_b[ib, 1:3], axis=1)
-    labels = split_labels(sep, cfg)
-    samples = []
-    for k in range(len(ia)):
-        label = labels[k]
-        if label == "discard":
-            continue
-        sa = RobotState(*robot_a[ia[k], 1:6])
-        sb = RobotState(*robot_b[ib[k], 1:6])
-        ctx = np.concatenate([robot_a[ia[k], 1:6], robot_b[ib[k], 1:6]])
-        samples.append(LabeledSample("multirobot", features_multirobot(sa, sb), label, ctx))
-    return samples
+    ctx = np.hstack([robot_a[ia, 1:6], robot_b[ib, 1:6]])
+    return _kept(ctx, split_labels(sep, cfg))
 
 
 # ---------------------------------------------------------------------------
 # dataset drivers
+
+def _concat(task: str, parts):
+    """One (contexts, labels) set from labeled parts, in generation order."""
+    contexts = [np.empty((0, CONTEXT_DIMS[task]))] + [c for c, _ in parts]
+    labels = [np.empty(0, dtype=object)] + [lab for _, lab in parts]
+    return np.concatenate(contexts), np.concatenate(labels)
+
 
 def _rebase(arr: np.ndarray, start: int, length: int) -> np.ndarray:
     """Window a 0.1 s series and rebase its time column to zero."""
@@ -293,7 +265,7 @@ def build_static_dataset(trajectories, cfg: LabelingConfig, seed: int,
     near-collision interactions dominate the labeled set.
     """
     rng = np.random.default_rng(seed)
-    samples = []
+    parts = []
     for traj in trajectories:
         xy = np.asarray(traj)[:, 1:3]
         for _ in range(clones_per_traj):
@@ -304,12 +276,8 @@ def build_static_dataset(trajectories, cfg: LabelingConfig, seed: int,
                 obs = anchor + radius * np.array([math.cos(angle), math.sin(angle)])
                 if 0 <= obs[0] <= arena[0] and 0 <= obs[1] <= arena[1]:
                     break
-            samples.extend(label_static(traj, obs, cfg))
-    return samples
-
-
-def _interacting_window(xy_a, xy_b, threshold=3.0):
-    return float(np.min(np.linalg.norm(xy_a - xy_b, axis=1))) <= threshold
+            parts.append(label_static(traj, obs, cfg))
+    return _concat("static", parts)
 
 
 def build_dynamic_dataset(trajectories, ped_tracks, cfg: LabelingConfig, seed: int,
@@ -318,7 +286,7 @@ def build_dynamic_dataset(trajectories, ped_tracks, cfg: LabelingConfig, seed: i
     pair actually interacts (features are relative, so shifting the
     pedestrian track preserves physical validity)."""
     rng = np.random.default_rng(seed)
-    samples = []
+    parts = []
     for traj in trajectories:
         traj = np.asarray(traj)
         n = len(traj)
@@ -333,8 +301,8 @@ def build_dynamic_dataset(trajectories, ped_tracks, cfg: LabelingConfig, seed: i
             angle = rng.uniform(0.0, 2.0 * math.pi)
             target = traj[k, 1:3] + radius * np.array([math.cos(angle), math.sin(angle)])
             window[:, 1:3] += target - window[k, 1:3]
-            samples.extend(label_dynamic(traj, window, cfg))
-    return samples
+            parts.append(label_dynamic(traj, window, cfg))
+    return _concat("dynamic", parts)
 
 
 def build_multirobot_dataset(trajectories, cfg: LabelingConfig, seed: int, pairs: int = 120):
@@ -343,7 +311,7 @@ def build_multirobot_dataset(trajectories, cfg: LabelingConfig, seed: int, pairs
     trajectory is a valid way to manufacture encounters in every approach
     geometry instead of waiting for two random walks to cross."""
     rng = np.random.default_rng(seed)
-    samples = []
+    parts = []
     for _ in range(pairs):
         i, j = rng.integers(len(trajectories), size=2)
         while j == i and len(trajectories) > 1:
@@ -356,18 +324,8 @@ def build_multirobot_dataset(trajectories, cfg: LabelingConfig, seed: int, pairs
         angle = rng.uniform(0.0, 2.0 * math.pi)
         target = a[k, 1:3] + radius * np.array([math.cos(angle), math.sin(angle)])
         b[:, 1:3] += target - b[k, 1:3]
-        samples.extend(label_multirobot(a, b, cfg))
-    return samples
-
-
-def stack_samples(samples, label):
-    """(features, contexts) arrays for the samples carrying the given label."""
-    chosen = [s for s in samples if s.label == label]
-    if not chosen:
-        task = samples[0].task if samples else "static"
-        return (np.empty((0, FEATURE_DIMS[task])), np.empty((0, CONTEXT_DIMS[task])))
-    return (np.stack([s.features for s in chosen]),
-            np.stack([s.context for s in chosen]))
+        parts.append(label_multirobot(a, b, cfg))
+    return _concat("multirobot", parts)
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +343,3 @@ def load_trajectories(path):
     raw = np.loadtxt(path)
     raw = np.atleast_2d(raw)
     return [raw[raw[:, 0] == k][:, 1:] for k in np.unique(raw[:, 0])]
-
-
-def save_samples(path, samples):
-    """One line per sample: task label features... | context..."""
-    with open(path, "w") as fh:
-        for s in samples:
-            feats = " ".join(f"{v:.9g}" for v in s.features)
-            ctx = " ".join(f"{v:.9g}" for v in s.context)
-            fh.write(f"{s.task} {s.label} {feats} | {ctx}\n")
-
-
-def load_samples(path):
-    samples = []
-    with open(path) as fh:
-        for line in fh:
-            head, ctx = line.split("|")
-            parts = head.split()
-            task, label = parts[0], parts[1]
-            feats = np.array([float(v) for v in parts[2:]])
-            context = np.array([float(v) for v in ctx.split()])
-            samples.append(LabeledSample(task, feats, label, context))
-    return samples

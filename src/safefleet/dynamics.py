@@ -1,10 +1,12 @@
 """Per-platform learned dynamics: bounded neural refinements over the
 differential-drive kinematics baseline.
 
-The net maps (state, control) -> 4 tanh-bounded corrections applied to the
-effective linear velocity, heading rate, and the velocity updates.  Targets
-are residuals between observed next states and the kinematics prediction,
-recovered in closed form, so plain MSE regression suffices.
+The net maps (state, control) -> 4 tanh-bounded corrections.  Scaled by
+beta, they are the residual of `world.kinematics_step_batch`, the one motion
+model: they add to the effective linear velocity, the heading rate, and the
+two velocity updates.  Targets are residuals between observed next states
+and the kinematics prediction, recovered in closed form, so plain MSE
+regression suffices.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .world import DT, PlatformParams, RobotState, Control, kinematics_step_batch, wrap_angle
+from .world import DT, PlatformParams, kinematics_step_batch, wrap_angle
 
 # trajectory array columns: t, x, y, theta, v, omega, u_v, u_omega
 T, X, Y, TH, V, OM, UV, UW = range(8)
@@ -37,32 +39,16 @@ def zero_dynamics(params: PlatformParams, beta: float = 1.0, dt: float = DT) -> 
 
 
 def predict_next_batch(model: DynamicsModel, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
-    """(N, 5) x (N, 2) -> (N, 5) one-step prediction."""
+    """(N, 5) x (N, 2) -> (N, 5) one-step prediction: the kinematics step with
+    beta times the net's output as its residual."""
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    p, dt = model.params, model.dt
-    if model.beta == 0.0:
-        return kinematics_step_batch(states, controls, p.m_v, p.m_omega,
-                                     p.max_speed, p.max_omega, dt)
-    f = model.net.forward(np.hstack([states, controls]))
-    x, y, th, v, om = states.T
-    uv, uw = controls.T
-    b = model.beta
-    v_eff = v + b * f[:, 0]
-    nxt = np.empty_like(states)
-    nxt[:, 0] = x + np.cos(th) * v_eff * dt
-    nxt[:, 1] = y + np.sin(th) * v_eff * dt
-    nxt[:, 2] = wrap_angle(th + (om + b * f[:, 1]) * dt)
-    nxt[:, 3] = np.clip(v + np.clip(uv - v, -p.m_v * dt, p.m_v * dt) + b * f[:, 2],
-                        -p.max_speed, p.max_speed)
-    nxt[:, 4] = np.clip(om + np.clip(uw - om, -p.m_omega * dt, p.m_omega * dt) + b * f[:, 3],
-                        -p.max_omega, p.max_omega)
-    return nxt
-
-
-def predict_next(model: DynamicsModel, state: RobotState, control: Control) -> RobotState:
-    out = predict_next_batch(model, state.as_array()[None, :], control.as_array()[None, :])
-    return RobotState.from_array(out[0])
+    p = model.params
+    residual = None
+    if model.beta != 0.0:
+        residual = model.beta * model.net.forward(np.hstack([states, controls]))
+    return kinematics_step_batch(states, controls, p.m_v, p.m_omega,
+                                 p.max_speed, p.max_omega, model.dt, residual)
 
 
 def transitions_from_trajectories(trajectories):
@@ -78,23 +64,6 @@ def transitions_from_trajectories(trajectories):
     if not S:
         raise ValueError("no transitions in dataset")
     return np.vstack(S), np.vstack(U), np.vstack(SN)
-
-
-def measure_limits(trajectories):
-    """Max |dv|/dt and |domega|/dt over all consecutive trajectory entries."""
-    best_v, best_w = 0.0, 0.0
-    seen = False
-    for traj in trajectories:
-        traj = np.asarray(traj, dtype=float)
-        if len(traj) < 2:
-            continue
-        seen = True
-        dt = np.diff(traj[:, T])
-        best_v = max(best_v, float(np.max(np.abs(np.diff(traj[:, V])) / dt)))
-        best_w = max(best_w, float(np.max(np.abs(np.diff(traj[:, OM])) / dt)))
-    if not seen:
-        raise ValueError("need trajectories with at least 2 entries")
-    return best_v, best_w
 
 
 def residual_targets(S, U, SN, params: PlatformParams, beta: float, dt: float = DT):

@@ -45,17 +45,19 @@ class PipelineConfig:
     multirobot_pairs: int = 220
 
 
-def _subsample(samples, cfg: PipelineConfig, rng):
+def _subsample(contexts, labels, cfg: PipelineConfig, rng):
+    """Cap each label group at its size limit; groups come out safe, unsafe,
+    unlabeled, each in generation order."""
     caps = {data.LABEL_SAFE: cfg.max_safe, data.LABEL_UNSAFE: cfg.max_unsafe,
             data.LABEL_UNLABELED: cfg.max_unlabeled}
-    out = []
+    keep = []
     for label, cap in caps.items():
-        group = [s for s in samples if s.label == label]
+        group = np.flatnonzero(labels == label)
         if len(group) > cap:
-            idx = rng.choice(len(group), size=cap, replace=False)
-            group = [group[i] for i in sorted(idx)]
-        out.extend(group)
-    return out
+            group = group[np.sort(rng.choice(len(group), size=cap, replace=False))]
+        keep.append(group)
+    keep = np.concatenate(keep)
+    return contexts[keep], labels[keep]
 
 
 def build_models(cfg: PipelineConfig | None = None, progress=None):
@@ -98,19 +100,19 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
         say(f"building {task} training set")
         lab = data.TASK_LABELING[task]
         if task == "static":
-            samples = data.build_static_dataset(base_trajs, lab, seed=cfg.seed + 201,
-                                                clones_per_traj=cfg.static_clones)
+            contexts, labels = data.build_static_dataset(
+                base_trajs, lab, seed=cfg.seed + 201, clones_per_traj=cfg.static_clones)
         elif task == "dynamic":
-            samples = data.build_dynamic_dataset(base_trajs, ped_tracks, lab,
-                                                 seed=cfg.seed + 202,
-                                                 pairs_per_traj=cfg.dynamic_pairs)
+            contexts, labels = data.build_dynamic_dataset(
+                base_trajs, ped_tracks, lab, seed=cfg.seed + 202,
+                pairs_per_traj=cfg.dynamic_pairs)
         else:
             pool = base_trajs + trajectories["jackal"]
-            samples = data.build_multirobot_dataset(pool, lab, seed=cfg.seed + 203,
-                                                    pairs=cfg.multirobot_pairs)
-        samples = _subsample(samples, cfg, rng)
-        labeled_feats = np.stack([s.features for s in samples
-                                  if s.label in (data.LABEL_SAFE, data.LABEL_UNSAFE)])
+            contexts, labels = data.build_multirobot_dataset(
+                pool, lab, seed=cfg.seed + 203, pairs=cfg.multirobot_pairs)
+        contexts, labels = _subsample(contexts, labels, cfg, rng)
+        labeled = (labels == data.LABEL_SAFE) | (labels == data.LABEL_UNSAFE)
+        labeled_feats = data.features_from_context(task, contexts[labeled])
         say(f"training {task} rejection model")
         rej = train_ood(labeled_feats, c=TASK_REJECTION_C[task],
                         hidden=TASK_REJECTION_HIDDEN[task], seed=cfg.seed + 301,
@@ -122,13 +124,13 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
                                  epochs=cfg.cbf_epochs, lr=cfg.cbf_lr,
                                  seed=cfg.seed + 401, hidden=TASK_HIDDEN[task],
                                  margin=cfg.cbf_margin)
-        barrier, brep = train_cbf(task, samples, dynamics["freight"], rej, cbf_cfg)
+        barrier, brep = train_cbf(task, contexts, labels, dynamics["freight"], rej, cbf_cfg)
         barriers[task] = barrier
         task_report[task] = {
-            "n_samples": len(samples),
-            "n_safe": sum(1 for s in samples if s.label == data.LABEL_SAFE),
-            "n_unsafe": sum(1 for s in samples if s.label == data.LABEL_UNSAFE),
-            "n_unlabeled": sum(1 for s in samples if s.label == data.LABEL_UNLABELED),
+            "n_samples": len(labels),
+            "n_safe": int(np.sum(labels == data.LABEL_SAFE)),
+            "n_unsafe": int(np.sum(labels == data.LABEL_UNSAFE)),
+            "n_unlabeled": int(np.sum(labels == data.LABEL_UNLABELED)),
             "safe_sign_accuracy": brep["safe_sign_accuracy"],
             "unsafe_sign_accuracy": brep["unsafe_sign_accuracy"],
             "final_loss": brep["loss_curve"][-1],

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import MISSING, dataclass, field, fields, asdict, replace
 
 import numpy as np
 import yaml
@@ -61,6 +61,10 @@ class ScenarioConfig:
         unknown = set(raw) - {f.name for f in fields(ScenarioConfig)}
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        missing = {f.name for f in fields(ScenarioConfig)
+                   if f.default is MISSING and f.default_factory is MISSING} - set(raw)
+        if missing:
+            raise ValueError(f"missing scenario keys: {sorted(missing)}")
         return ScenarioConfig(**raw)
 
     def to_dict(self) -> dict:

@@ -69,7 +69,8 @@ def training_report(bundle_and_report):
 
 @pytest.fixture(scope="session")
 def task_samples():
-    """The pipeline's labeled training sets, regenerated with its seeds."""
+    """The pipeline's labeled training sets, regenerated with its seeds:
+    task -> (contexts, labels)."""
     trajs = {}
     for i, name in enumerate(["freight", "jackal"]):
         platform = make_platform(name, 1.5)

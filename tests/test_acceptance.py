@@ -20,7 +20,7 @@ import pytest
 from safefleet import nn
 from safefleet.barrier import _gated_argmax, successor_features
 from safefleet.data import (LABEL_SAFE, LabelingConfig, features_from_context,
-                            split_labels, stack_samples)
+                            split_labels)
 from safefleet.dynamics import predict_next_batch, zero_dynamics
 from safefleet.ood import is_in_distribution_batch
 from safefleet.scenarios import (ScenarioConfig, compute_metrics, emit_report,
@@ -137,7 +137,8 @@ def test_criterion_6_sign_accuracy(training_report):
 def test_criterion_6_forward_invariance_probe(bundle, task_samples, task):
     """B(x') >= (1 - gamma*dt) B(x) - 1e-3 under the gated best control on
     >= 99% of in-distribution safe contexts with B(x) >= 0.05."""
-    _, contexts = stack_samples(task_samples[task], label=LABEL_SAFE)
+    contexts, labels = task_samples[task]
+    contexts = contexts[labels == LABEL_SAFE]
     rng = np.random.default_rng(0)
     idx = rng.choice(len(contexts), size=min(800, len(contexts)), replace=False)
     contexts = contexts[idx]

@@ -7,9 +7,9 @@ from safefleet.controller import (AgentTrack, ControllerConfig, MissingBarrierEr
                                   classify_agent, filter_candidates, goal_score, recovery_control,
                                   plan_start_state, select_control)
 from safefleet.data import features_from_context
-from safefleet.dynamics import predict_next, predict_next_batch, zero_dynamics
-from safefleet.world import (Control, RobotState, candidate_controls, coast_step_batch,
-                             make_platform)
+from safefleet.dynamics import predict_next_batch, zero_dynamics
+from safefleet.world import (Control, RobotAgent, RobotState, candidate_controls,
+                             coast_step_batch, make_platform, make_world, step_world)
 
 DYN = zero_dynamics(make_platform("freight", 1.0))
 CANDS = candidate_controls(1.0)
@@ -58,30 +58,33 @@ class TestPlanStartState:
     def test_one_step_queue(self):
         s = RobotState(0, 0, 0, 1.0, 0)
         got = plan_start_state(s, (Control(1.0, 0),), DYN)
-        assert got == predict_next(DYN, s, Control(1.0, 0))
+        want = predict_next_batch(DYN, s.as_array()[None, :], np.array([[1.0, 0]]))
+        assert got == RobotState.from_array(want[0])
 
     def test_two_step_queue_megarover(self):
         dyn = zero_dynamics(make_platform("megarover", 1.0))
         s = RobotState(0, 0, 0, 0.0, 0)
         q = (Control(1.0, 0), Control(1.0, 0))
         got = plan_start_state(s, q, dyn)
-        want = predict_next(dyn, predict_next(dyn, s, q[0]), q[1])
-        assert np.allclose(got.as_array(), want.as_array())
+        want = s.as_array()[None, :]
+        for u in q:
+            want = predict_next_batch(dyn, want, u.as_array()[None, :])
+        assert np.allclose(got.as_array(), want[0])
         assert got.v == pytest.approx(0.12)  # two accel-clamped steps
 
     def test_delay_correctness_against_simulator(self):
-        # with net = 0 the planned start state equals the simulator's actual
-        # state once the queued controls execute
-        from safefleet.world import apply_ground_truth_dynamics
+        # with net = 0 the planned start state equals, bit for bit, the
+        # noiseless simulator's state once the queued controls execute
         params = make_platform("megarover", 1.0)
         dyn = zero_dynamics(params)
         s = RobotState(2, 3, 0.5, 0.4, -0.2)
         q = (Control(0.5, 0.4), Control(1.0, -0.8))
         planned = plan_start_state(s, q, dyn)
-        actual = s
-        for u in q:
-            actual = apply_ground_truth_dynamics(actual, u, params)
-        assert np.allclose(planned.as_array(), actual.as_array())
+        world = make_world({"r": (s, params)}, noise_sigma=0.0)
+        world.robots["r"] = RobotAgent(s, params, q)
+        for _ in q:
+            world = step_world(world, {"r": Control(0.0, 0.0)})
+        np.testing.assert_array_equal(planned.as_array(), world.robot_state("r").as_array())
 
 
 class TestFilterCandidates:

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safefleet import data
-from safefleet.data import (LABEL_SAFE, LABEL_UNLABELED, LABEL_UNSAFE,
-                            LabelingConfig, features_dynamic, features_multirobot,
-                            features_from_context, features_static, label_dynamic,
+from safefleet.data import (CONTEXT_DIMS, LABEL_SAFE, LABEL_UNLABELED, LABEL_UNSAFE,
+                            LabelingConfig, features_from_context, label_dynamic,
                             label_multirobot, label_static, split_labels)
-from safefleet.world import DT, LINEAR_CANDIDATES, RobotState, make_platform
+from safefleet.world import DT, LINEAR_CANDIDATES, make_platform
 
 
 # ---------------------------------------------------------------------------
@@ -95,35 +94,54 @@ class TestSplitLabels:
         assert data.TASK_LABELING["multirobot"] == LabelingConfig(d=0.7, tau=12)
 
 
+# ---------------------------------------------------------------------------
+# independent feature oracles: each task's encoding written per sample
+
+def scalar_static(state, obstacle):
+    x, y, th, v, om = state
+    return np.array([obstacle[0] - x, obstacle[1] - y, th, v, om])
+
+
+def scalar_dynamic(state, ped_history):
+    x, y, th, v, om = state
+    return np.array([th, v, om] + [c for (px, py) in ped_history for c in (px - x, py - y)])
+
+
+def scalar_multirobot(a, b):
+    return np.array([a[0] - b[0], a[1] - b[1], a[2], b[2], a[3], a[4], b[3], b[4]])
+
+
+def features(task, context):
+    return features_from_context(task, np.asarray(context, dtype=float))[0]
+
+
 class TestFeatures:
     def test_static_encoding(self):
-        f = features_static(RobotState(1, 2, 0.5, 0.3, 0.1), (2, 3))
+        f = features("static", [1, 2, 0.5, 0.3, 0.1, 2, 3])
         assert np.allclose(f, [1, 1, 0.5, 0.3, 0.1])
         assert len(f) == 5
 
     def test_static_at_obstacle(self):
-        f = features_static(RobotState(2, 3, 0, 0, 0), (2, 3))
+        f = features("static", [2, 3, 0, 0, 0, 2, 3])
         assert f[0] == 0 and f[1] == 0
 
     def test_dynamic_encoding(self):
         # pedestrian moving +x at 1 m/s, robot at origin, current at (2, 0)
-        hist = [(1.8, 0.0), (1.9, 0.0), (2.0, 0.0)]
-        f = features_dynamic(RobotState(0, 0, 0.2, 0.4, 0.0), hist)
+        f = features("dynamic", [0, 0, 0.2, 0.4, 0.0, 1.8, 0.0, 1.9, 0.0, 2.0, 0.0])
         assert len(f) == 9
         assert np.allclose(f, [0.2, 0.4, 0.0, 1.8, 0.0, 1.9, 0.0, 2.0, 0.0])
 
     def test_dynamic_stationary_pedestrian(self):
-        f = features_dynamic(RobotState(1, 1, 0, 0, 0), [(3, 2)] * 3)
+        f = features("dynamic", [1, 1, 0, 0, 0] + [3, 2] * 3)
         assert np.allclose(f[3:5], f[5:7]) and np.allclose(f[5:7], f[7:9])
 
     def test_dynamic_needs_three_positions(self):
-        with pytest.raises(ValueError):
-            features_dynamic(RobotState(0, 0, 0, 0, 0), [(1, 1), (2, 2)])
+        # a context with two pedestrian positions has the wrong width
+        with pytest.raises(ValueError, match="width"):
+            features("dynamic", [0, 0, 0, 0, 0, 1, 1, 2, 2])
 
     def test_multirobot_encoding(self):
-        a = RobotState(0, 0, 0, 0.5, 0)
-        b = RobotState(1, 0, math.pi, 0.5, 0)
-        f = features_multirobot(a, b)
+        f = features("multirobot", [0, 0, 0, 0.5, 0, 1, 0, math.pi, 0.5, 0])
         assert len(f) == 8
         assert np.allclose(f, [-1, 0, 0, math.pi, 0.5, 0, 0.5, 0])
 
@@ -132,19 +150,17 @@ class TestFeatures:
 
     def test_features_from_context_matches_scalar_encoders(self):
         rng = np.random.default_rng(4)
-        s = RobotState(*rng.normal(size=5))
-        obs = rng.normal(size=2)
-        ctx = np.concatenate([s.as_array(), obs])
-        assert np.allclose(features_from_context("static", ctx)[0],
-                           features_static(s, obs))
-        hist = rng.normal(size=(3, 2))
-        ctx = np.concatenate([s.as_array(), hist.ravel()])
-        assert np.allclose(features_from_context("dynamic", ctx)[0],
-                           features_dynamic(s, hist))
-        b = RobotState(*rng.normal(size=5))
-        ctx = np.concatenate([s.as_array(), b.as_array()])
-        assert np.allclose(features_from_context("multirobot", ctx)[0],
-                           features_multirobot(s, b))
+        for _ in range(20):
+            s = rng.normal(size=5)
+            obs = rng.normal(size=2)
+            np.testing.assert_array_equal(features("static", np.concatenate([s, obs])),
+                                          scalar_static(s, obs))
+            hist = rng.normal(size=(3, 2))
+            np.testing.assert_array_equal(features("dynamic", np.concatenate([s, hist.ravel()])),
+                                          scalar_dynamic(s, hist))
+            b = rng.normal(size=5)
+            np.testing.assert_array_equal(features("multirobot", np.concatenate([s, b])),
+                                          scalar_multirobot(s, b))
 
 
 class TestLabelDrivers:
@@ -157,17 +173,19 @@ class TestLabelDrivers:
         return traj
 
     def test_label_static_all_safe_far_obstacle(self):
-        samples = label_static(self._straight_traj(30), (1.5, 1.0), LabelingConfig(0.7, 5))
-        assert len(samples) == 30
-        assert all(s.label == LABEL_SAFE for s in samples)
+        traj = self._straight_traj(30)
+        ctx, labels = label_static(traj, (1.5, 1.0), LabelingConfig(0.7, 5))
+        assert len(labels) == 30 and ctx.shape == (30, CONTEXT_DIMS["static"])
+        assert all(l == LABEL_SAFE for l in labels)
+        np.testing.assert_array_equal(ctx[7], np.concatenate([traj[7, 1:6], [1.5, 1.0]]))
 
     def test_label_static_near_pass(self):
         traj = self._straight_traj(60)
-        samples = label_static(traj, (3.0, 0.0), LabelingConfig(0.7, 5))
-        labels = [s.label for s in samples]
+        ctx, labels = label_static(traj, (3.0, 0.0), LabelingConfig(0.7, 5))
         assert LABEL_UNSAFE in labels and LABEL_UNLABELED in labels
-        # discarded rows shrink the sample list
-        assert len(samples) < 60
+        # discarded rows shrink the labeled set
+        assert len(labels) < 60 and len(ctx) == len(labels)
+        assert "discard" not in labels
 
     def test_label_dynamic_parallel_safe(self):
         traj = self._straight_traj(30)
@@ -175,9 +193,27 @@ class TestLabelDrivers:
         ped[:, 0] = np.arange(30) * DT
         ped[:, 1] = np.arange(30) * 0.1
         ped[:, 2] = 2.0
-        samples = label_dynamic(traj, ped, LabelingConfig(0.7, 12))
-        assert len(samples) == 28  # first two lack 3-step history
-        assert all(s.label == LABEL_SAFE for s in samples)
+        ctx, labels = label_dynamic(traj, ped, LabelingConfig(0.7, 12))
+        assert len(labels) == 28  # first two lack 3-step history
+        assert all(l == LABEL_SAFE for l in labels)
+        assert ctx.shape == (28, CONTEXT_DIMS["dynamic"])
+        # row k holds the robot at step k + 2 and the pedestrian at steps k..k+2
+        for k in (0, 13, 27):
+            np.testing.assert_array_equal(
+                ctx[k], np.concatenate([traj[k + 2, 1:6], ped[k:k + 3, 1:3].ravel()]))
+
+    def test_label_dynamic_rows_keep_their_labels(self):
+        # robot drives into a standing pedestrian: each kept row carries the
+        # label of its own step, not of the step two earlier
+        traj = self._straight_traj(40)
+        ped = np.zeros((40, 3))
+        ped[:, 0] = np.arange(40) * DT
+        ped[:, 1] = 2.5
+        ctx, labels = label_dynamic(traj, ped, LabelingConfig(0.7, 12))
+        want = oracle_labels(np.abs(traj[:, 1] - 2.5), 0.7, 12)[2:]
+        assert list(labels) == [l for l in want if l != "discard"]
+        assert LABEL_UNSAFE in labels and LABEL_UNLABELED in labels
+        np.testing.assert_array_equal(ctx[:, 0], traj[2:len(ctx) + 2, 1])
 
     def test_label_dynamic_requires_overlap(self):
         traj = self._straight_traj(10)
@@ -189,15 +225,36 @@ class TestLabelDrivers:
     def test_label_multirobot_offset_safe(self):
         a = self._straight_traj(30, y=0.0)
         b = self._straight_traj(30, y=3.0)
-        samples = label_multirobot(a, b, LabelingConfig(0.7, 12))
-        assert all(s.label == LABEL_SAFE for s in samples)
+        ctx, labels = label_multirobot(a, b, LabelingConfig(0.7, 12))
+        assert all(l == LABEL_SAFE for l in labels)
+        np.testing.assert_array_equal(ctx, np.hstack([a[:, 1:6], b[:, 1:6]]))
 
     def test_label_multirobot_head_on(self):
         a = self._straight_traj(60)
         b = self._straight_traj(60)
         b[:, 1] = 5.9 - b[:, 1]  # head-on, meets near the middle
-        samples = label_multirobot(a, b, LabelingConfig(0.7, 12))
-        assert any(s.label == LABEL_UNSAFE for s in samples)
+        _, labels = label_multirobot(a, b, LabelingConfig(0.7, 12))
+        assert any(l == LABEL_UNSAFE for l in labels)
+
+
+class TestDatasetDrivers:
+    def test_no_pairs_gives_empty_arrays(self):
+        # every pedestrian track shorter than the trajectory: nothing to label
+        traj = np.zeros((50, 8))
+        traj[:, 0] = np.arange(50) * DT
+        short = np.zeros((10, 3))
+        ctx, labels = data.build_dynamic_dataset([traj], [short], LabelingConfig(0.7, 12), seed=0)
+        assert ctx.shape == (0, CONTEXT_DIMS["dynamic"]) and labels.shape == (0,)
+
+    def test_parts_concatenate_in_generation_order(self):
+        platform = make_platform("freight", 1.0)
+        trajs = data.generate_robot_trajectories(platform, 60.0, seed=2)
+        trajs = [t[:200] for t in trajs] + [t[200:400] for t in trajs]
+        ctx, labels = data.build_multirobot_dataset(trajs, LabelingConfig(0.7, 12), seed=5, pairs=4)
+        assert len(ctx) == len(labels) > 0
+        # the first part is the first pair, labeled from robot A's first step
+        i, _ = np.random.default_rng(5).integers(len(trajs), size=2)
+        np.testing.assert_array_equal(ctx[0, 0:5], trajs[i][0, 1:6])
 
 
 class TestGeneration:
@@ -250,17 +307,3 @@ class TestRoundTrips:
         assert len(loaded) == len(trajs)
         for a, b in zip(trajs, loaded):
             assert np.allclose(a, b, atol=1e-7)
-
-    def test_sample_file_round_trip(self, tmp_path):
-        traj = np.zeros((20, 8))
-        traj[:, 0] = np.arange(20) * DT
-        traj[:, 1] = np.arange(20) * 0.1
-        samples = label_static(traj, (1.0, 0.3), LabelingConfig(0.7, 5))
-        path = tmp_path / "samples.txt"
-        data.save_samples(path, samples)
-        loaded = data.load_samples(path)
-        assert len(loaded) == len(samples)
-        for a, b in zip(samples, loaded):
-            assert a.task == b.task and a.label == b.label
-            assert np.allclose(a.features, b.features, atol=1e-7)
-            assert np.allclose(a.context, b.context, atol=1e-7)

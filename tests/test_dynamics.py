@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from safefleet import nn
-from safefleet.dynamics import (DynamicsModel, measure_limits, next_state_mse,
-                                predict_next, predict_next_batch, residual_targets,
-                                train_dynamics, transitions_from_trajectories,
-                                zero_dynamics)
-from safefleet.world import (DT, Control, RobotState, apply_ground_truth_dynamics,
-                             make_platform)
+from safefleet.dynamics import (DynamicsModel, next_state_mse, predict_next_batch,
+                                residual_targets, train_dynamics,
+                                transitions_from_trajectories, zero_dynamics)
+from safefleet.world import DT, Control, RobotState, make_platform, make_world, step_world
 
 FREIGHT = make_platform("freight", 1.0)
+FREIGHT_NO_DELAY = make_platform("freight", 1.0, delay_h=0.0)
 RNG = np.random.default_rng(321)
 
 
@@ -21,14 +20,16 @@ def _random_states(n, rng):
 
 class TestPredictNext:
     def test_zero_net_matches_ground_truth(self):
+        # bit-equal to one noiseless simulator tick
         model = zero_dynamics(FREIGHT)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            s = RobotState(*_random_states(1, rng)[0])
-            u = Control(rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
-            got = predict_next(model, s, u)
-            want = apply_ground_truth_dynamics(s, u, FREIGHT)
-            assert np.allclose(got.as_array(), want.as_array())
+            s = _random_states(1, rng)
+            u = np.array([[rng.uniform(-1, 1), rng.uniform(-1.5, 1.5)]])
+            got = predict_next_batch(model, s, u)[0]
+            world = make_world({"r": (RobotState(*s[0]), FREIGHT_NO_DELAY)}, noise_sigma=0.0)
+            want = step_world(world, {"r": Control(*u[0])}).robot_state("r").as_array()
+            np.testing.assert_array_equal(got, want)
 
     def test_beta_zero_is_kinematics_baseline(self):
         net = nn.Mlp([7, 8, 4], out_activation="tanh", seed=5)  # arbitrary net
@@ -46,8 +47,8 @@ class TestPredictNext:
         net.zero_output()
         net.biases[-1][0] = 10.0  # tanh(10) = 1 - 4e-9
         model = DynamicsModel(net=net, beta=1.0, params=FREIGHT)
-        s = predict_next(model, RobotState(0, 0, 0, 1.0, 0), Control(1.0, 0))
-        assert s.x == pytest.approx(0.2, abs=1e-6)
+        s = predict_next_batch(model, np.array([[0, 0, 0, 1.0, 0]]), np.array([[1.0, 0]]))[0]
+        assert s[0] == pytest.approx(0.2, abs=1e-6)
 
     def test_boundedness_of_corrections(self):
         # every correction magnitude <= beta (position/heading scaled by dt)
@@ -65,33 +66,6 @@ class TestPredictNext:
         assert np.all(np.abs(wrap_angle(diff[:, 2])) <= beta * DT + 1e-9)  # theta
         assert np.all(np.abs(diff[:, 3]) <= beta + 1e-9)        # v (clamped anyway)
         assert np.all(np.abs(diff[:, 4]) <= beta + 1e-9)        # omega
-
-
-class TestMeasureLimits:
-    def test_constant_velocity_gives_zero(self):
-        traj = np.zeros((10, 8))
-        traj[:, 0] = np.arange(10) * DT
-        traj[:, 4] = 0.8
-        assert measure_limits([traj]) == (0.0, 0.0)
-
-    def test_freight_acceleration_reproduced(self):
-        traj = np.zeros((2, 8))
-        traj[:, 0] = [0.0, 0.1]
-        traj[:, 4] = [0.0, 0.215]
-        m_v, _ = measure_limits([traj])
-        assert m_v == pytest.approx(2.15)
-
-    def test_ramp_half(self):
-        n = 21  # 0 -> 1 m/s over 2 s
-        traj = np.zeros((n, 8))
-        traj[:, 0] = np.arange(n) * DT
-        traj[:, 4] = np.linspace(0, 1, n)
-        m_v, _ = measure_limits([traj])
-        assert m_v == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            measure_limits([np.zeros((1, 8))])
 
 
 class TestResidualInversion:

@@ -144,6 +144,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=r"\['max_sped', 'robts'\]"):
             ScenarioConfig.from_dict(raw)
 
+    def test_missing_keys_named(self):
+        raw = unit_task_config("static", 1, 1.0).to_dict()
+        del raw["robots"], raw["max_speed"]
+        with pytest.raises(ValueError, match=r"missing scenario keys: \['max_speed', 'robots'\]"):
+            ScenarioConfig.from_dict(raw)
+
     def test_unknown_mode_rejected(self):
         raw = {**unit_task_config("static", 1, 1.0).to_dict(), "mode": "unit_taks"}
         with pytest.raises(ValueError, match="unit_taks"):

@@ -6,48 +6,88 @@ from hypothesis import given, settings, strategies as st
 
 from safefleet.world import (ANGULAR_CANDIDATES, DT, LINEAR_CANDIDATES, Control,
                              PedestrianTrack, PedestrianWalker, PlatformParams,
-                             RobotState, apply_ground_truth_dynamics,
-                             candidate_controls, make_platform, make_world,
+                             RobotAgent, RobotState, candidate_controls,
+                             kinematics_step_batch, make_platform, make_world,
                              step_world, wrap_angle)
 
 FREIGHT = make_platform("freight", 1.0)
 MEGAROVER = make_platform("megarover", 1.0)
+PLATFORMS = [make_platform("freight", 1.5), make_platform("jackal", 1.0),
+             make_platform("megarover", 0.5)]
+
+
+def scalar_step(state, control, params, dt=DT, velocity_noise=(0.0, 0.0)):
+    """Reference: the scalar differential-drive tick the simulator used to run."""
+    x = state[0] + math.cos(state[2]) * state[3] * dt
+    y = state[1] + math.sin(state[2]) * state[3] * dt
+    th = float(wrap_angle(state[2] + state[4] * dt))
+    dv = min(max(control[0] - state[3], -params.m_v * dt), params.m_v * dt)
+    dw = min(max(control[1] - state[4], -params.m_omega * dt), params.m_omega * dt)
+    v = state[3] + dv + velocity_noise[0]
+    om = state[4] + dw + velocity_noise[1]
+    v = min(max(v, -params.max_speed), params.max_speed)
+    om = min(max(om, -params.max_omega), params.max_omega)
+    return np.array([x, y, th, v, om])
+
+
+def step(state: RobotState, control: Control, params) -> RobotState:
+    """One noiseless row through kinematics_step_batch."""
+    out = kinematics_step_batch(state.as_array()[None, :], control.as_array()[None, :],
+                                params.m_v, params.m_omega, params.max_speed, params.max_omega)
+    return RobotState.from_array(out[0])
+
+
+def random_rows(n, rng):
+    """(states, controls, noise) spanning the speed caps and every heading."""
+    states = np.column_stack([rng.uniform(0, 12, n), rng.uniform(0, 12, n),
+                              rng.uniform(-math.pi, math.pi, n), rng.uniform(-1.7, 1.7, n),
+                              rng.uniform(-1.7, 1.7, n)])
+    controls = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n)])
+    return states, controls, rng.normal(0.0, 0.05, (n, 2))
+
+
+def noise_residual(noise):
+    residual = np.zeros((len(noise), 4))
+    residual[:, 2:] = noise
+    return residual
 
 
 class TestKinematics:
     def test_straight_line_at_target_velocity(self):
         # already at the commanded velocity: pure straight advance
-        s = apply_ground_truth_dynamics(RobotState(0, 0, 0, 1.0, 0), Control(1.0, 0), FREIGHT)
+        s = step(RobotState(0, 0, 0, 1.0, 0), Control(1.0, 0), FREIGHT)
         assert s.x == pytest.approx(0.1)
         assert (s.y, s.theta, s.v, s.omega) == (0.0, 0.0, 1.0, 0.0)
 
     def test_acceleration_clamp_from_rest(self):
         # megarover m_v = 0.6: dv capped at 0.6 * 0.1 = 0.06
-        s = apply_ground_truth_dynamics(RobotState(0, 0, 0, 0, 0), Control(1.0, 0), MEGAROVER)
+        s = step(RobotState(0, 0, 0, 0, 0), Control(1.0, 0), MEGAROVER)
         assert s.v == pytest.approx(0.06)
         assert (s.x, s.y, s.theta, s.omega) == (0.0, 0.0, 0.0, 0.0)
 
     def test_heading_pi_half_moves_plus_y(self):
-        s = apply_ground_truth_dynamics(RobotState(0, 0, math.pi / 2, 1.0, 0),
-                                        Control(1.0, 0), FREIGHT)
+        s = step(RobotState(0, 0, math.pi / 2, 1.0, 0), Control(1.0, 0), FREIGHT)
         assert s.x == pytest.approx(0.0, abs=1e-12)
         assert s.y == pytest.approx(0.1)
         assert s.theta == pytest.approx(math.pi / 2)
 
     def test_braking_also_clamped(self):
-        s = apply_ground_truth_dynamics(RobotState(0, 0, 0, 1.0, 0), Control(0.0, 0), MEGAROVER)
+        s = step(RobotState(0, 0, 0, 1.0, 0), Control(0.0, 0), MEGAROVER)
         assert s.v == pytest.approx(1.0 - 0.06)
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            apply_ground_truth_dynamics(RobotState(0, 0, 0, 0, 0), Control(0, 0), FREIGHT, dt=0)
+        # the world is where a tick length enters the simulator
+        robots = {"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)}
+        for dt in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="dt"):
+                make_world(robots, dt=dt)
 
     @given(v=st.floats(-1.0, 1.0), om=st.floats(-1.5, 1.5),
            uv=st.floats(-1.0, 1.0), uw=st.floats(-1.5, 1.5),
            th=st.floats(-math.pi, math.pi))
     @settings(max_examples=100, deadline=None)
     def test_velocity_change_bounded_by_acceleration(self, v, om, uv, uw, th):
-        s = apply_ground_truth_dynamics(RobotState(0, 0, th, v, om), Control(uv, uw), FREIGHT)
+        s = step(RobotState(0, 0, th, v, om), Control(uv, uw), FREIGHT)
         assert abs(s.v - v) <= FREIGHT.m_v * DT + 1e-9
         assert abs(s.omega - om) <= FREIGHT.m_omega * DT + 1e-9
         assert -math.pi < s.theta <= math.pi
@@ -55,8 +95,64 @@ class TestKinematics:
     def test_stationary_robot_stays_put(self):
         s = RobotState(3.0, 4.0, 1.0, 0.0, 0.0)
         for _ in range(20):
-            s = apply_ground_truth_dynamics(s, Control(0, 0), FREIGHT)
+            s = step(s, Control(0, 0), FREIGHT)
         assert (s.x, s.y) == (3.0, 4.0)
+
+
+class TestOneStep:
+    """kinematics_step_batch with a noise residual is bit-equal to the scalar tick."""
+
+    @pytest.mark.parametrize("params", PLATFORMS, ids=lambda p: p.name)
+    def test_matches_scalar_reference_row_by_row_and_batched(self, params):
+        S, U, W = random_rows(1000, np.random.default_rng(17))
+        want = np.stack([scalar_step(s, u, params, velocity_noise=w) for s, u, w in zip(S, U, W)])
+        lims = (params.m_v, params.m_omega, params.max_speed, params.max_omega)
+        rows = np.vstack([kinematics_step_batch(S[i:i + 1], U[i:i + 1], *lims, DT,
+                                                noise_residual(W[i:i + 1]))
+                          for i in range(len(S))])
+        np.testing.assert_array_equal(rows, want)
+        np.testing.assert_array_equal(
+            kinematics_step_batch(S, U, *lims, DT, noise_residual(W)), want)
+
+    def test_per_row_limits_match_scalar_reference(self):
+        # the world's call: one row per robot, each with its own platform limits
+        S, U, W = random_rows(999, np.random.default_rng(18))
+        per_row = [PLATFORMS[i % 3] for i in range(len(S))]
+        want = np.stack([scalar_step(s, u, p, velocity_noise=w)
+                         for s, u, w, p in zip(S, U, W, per_row)])
+        lims = [np.array([getattr(p, f) for p in per_row])
+                for f in ("m_v", "m_omega", "max_speed", "max_omega")]
+        np.testing.assert_array_equal(
+            kinematics_step_batch(S, U, *lims, DT, noise_residual(W)), want)
+
+    def test_no_residual_is_zero_noise(self):
+        S, U, _ = random_rows(200, np.random.default_rng(19))
+        lims = (FREIGHT.m_v, FREIGHT.m_omega, FREIGHT.max_speed, FREIGHT.max_omega)
+        want = np.stack([scalar_step(s, u, FREIGHT) for s, u in zip(S, U)])
+        np.testing.assert_array_equal(kinematics_step_batch(S, U, *lims), want)
+
+    def test_step_world_matches_scalar_reference(self):
+        # a noisy three-robot world: one (R, 2) noise draw per tick equals the
+        # scalar simulator's per-robot size-2 draws in sorted id order
+        specs = {"b": (RobotState(1.0, 2.0, 0.3, 0.2, 0.0), make_platform("megarover", 1.0)),
+                 "a": (RobotState(5.0, 5.0, -2.0, 0.0, 0.4), make_platform("freight", 1.0)),
+                 "c": (RobotState(8.0, 1.0, 3.0, 0.5, -0.2), make_platform("jackal", 1.0))}
+        world = make_world(specs, noise_sigma=0.02, seed=11)
+        rng = np.random.default_rng(11)
+        ref = {rid: (s.as_array(), p, [(0.0, 0.0)] * p.delay_steps)
+               for rid, (s, p) in specs.items()}
+        cmd_rng = np.random.default_rng(3)
+        for _ in range(60):
+            cmds = {rid: Control(*cmd_rng.uniform(-1.2, 1.2, 2)) for rid in specs}
+            world = step_world(world, cmds)
+            for rid in sorted(ref):
+                state, params, queue = ref[rid]
+                queue = queue + [(cmds[rid].u_v, cmds[rid].u_omega)]
+                noise = tuple(rng.normal(0.0, 0.02, 2))
+                ref[rid] = (scalar_step(state, queue[0], params, velocity_noise=noise),
+                            params, queue[1:])
+            for rid in specs:
+                np.testing.assert_array_equal(world.robot_state(rid).as_array(), ref[rid][0])
 
 
 class TestWrapAngle:
@@ -135,6 +231,13 @@ class TestStepWorld:
         assert world.robot_state("r").v == 0.0
         world = step_world(world, {"r": Control(0.0, 0)})
         assert world.robot_state("r").v == pytest.approx(0.06)  # burst lands here
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_initial_state_rejected(self, bad):
+        robots = {"ok": (RobotState(0, 0, 0, 0, 0), FREIGHT),
+                  "r2": (RobotState(1.0, bad, 0, 0, 0), FREIGHT)}
+        with pytest.raises(ValueError, match="'r2'"):
+            make_world(robots)
 
     def test_unknown_robot_id_rejected(self):
         world = make_world({"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)})
