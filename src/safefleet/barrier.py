@@ -8,7 +8,7 @@ forward-invariance term keeps the best candidate control inside the set:
          + mean relu(B(x)) over unsafe
          + mean relu(-(B(x') - B(x))/dt - gamma*B(x)) over safe,
 
-where x' follows the learned dynamics under the candidate that maximizes
+where x' follows the dynamics model under the candidate that maximizes
 B(x') among successors passing the OOD gate.  Unlabeled samples are
 re-annotated every epoch against the current barrier: promoted to safe when
 some control reaches a successor that is both non-negative under B and
@@ -67,14 +67,13 @@ def advance_contexts(task: str, contexts: np.ndarray, controls: np.ndarray,
                      dyn: DynamicsModel) -> np.ndarray:
     """One-step successors: (N, D) contexts x (M, 2) controls -> (N, M, D).
 
-    The controlled robot follows the learned dynamics; the static obstacle is
+    The controlled robot follows the dynamics model; the static obstacle is
     fixed, the pedestrian history shifts forward under a constant-velocity
     extrapolation, and the other robot coasts at its current velocities.
     """
     C = np.atleast_2d(np.asarray(contexts, dtype=float))
     U = np.atleast_2d(np.asarray(controls, dtype=float))
     n, m = len(C), len(U)
-    dt = dyn.dt
     states = np.repeat(C[:, 0:5], m, axis=0)
     ctrls = np.tile(U, (n, 1))
     next_states = predict_next_batch(dyn, states, ctrls).reshape(n, m, 5)
@@ -83,13 +82,13 @@ def advance_contexts(task: str, contexts: np.ndarray, controls: np.ndarray,
     if task == "static":
         out[:, :, 5:7] = C[:, None, 5:7]
     elif task == "dynamic":
-        vel = (C[:, 9:11] - C[:, 5:7]) / (2.0 * dt)
-        p_next = C[:, 9:11] + vel * dt
+        vel = (C[:, 9:11] - C[:, 5:7]) / (2.0 * DT)
+        p_next = C[:, 9:11] + vel * DT
         out[:, :, 5:7] = C[:, None, 7:9]
         out[:, :, 7:9] = C[:, None, 9:11]
         out[:, :, 9:11] = p_next[:, None, :]
     elif task == "multirobot":
-        other_next = coast_step_batch(C[:, 5:10], dt)
+        other_next = coast_step_batch(C[:, 5:10], DT)
         out[:, :, 5:10] = other_next[:, None, :]
     else:
         raise ValueError(f"unknown task {task!r}")

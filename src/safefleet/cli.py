@@ -6,10 +6,9 @@ import json
 import os
 import sys
 
-import numpy as np
 import yaml
 
-from . import data, nn, pipeline, scenarios
+from . import data, pipeline, scenarios
 from .world import make_platform
 
 

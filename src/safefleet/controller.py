@@ -1,7 +1,7 @@
 """Decentralized sampling-based safe controller.
 
 Each tick the robot classifies its surrounding agents from 3-step position
-tracks, rolls the learned dynamics through the already-queued (delayed)
+tracks, rolls the dynamics model through the already-queued (delayed)
 controls to find the state where a new command will actually bite, unrolls
 every discrete candidate over a short horizon, vetoes candidates whose
 predicted states violate any per-agent barrier, and picks the survivor with
@@ -11,11 +11,10 @@ horizon x candidates block of predicted states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierModel
 from .data import features_from_context
 from .dynamics import DynamicsModel, predict_next_batch
 from .world import DT, Control, RobotState, coast_step_batch

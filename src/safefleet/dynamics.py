@@ -1,12 +1,13 @@
-"""Per-platform learned dynamics: bounded neural refinements over the
-differential-drive kinematics baseline.
+"""Per-platform dynamics: the differential-drive kinematics baseline, plus a
+bounded neural refinement where one was learned.
 
-The net maps (state, control) -> 4 tanh-bounded corrections.  Scaled by
-beta, they are the residual of `world.kinematics_step_batch`, the one motion
-model: they add to the effective linear velocity, the heading rate, and the
-two velocity updates.  Targets are residuals between observed next states
-and the kinematics prediction, recovered in closed form, so plain MSE
-regression suffices.
+The net maps (state, control) -> 4 tanh-bounded corrections, the residual
+of `world.kinematics_step_batch`, the one motion model: they add to the
+effective linear velocity, the heading rate, and the two velocity updates.
+Targets are residuals between observed next states and the kinematics
+prediction, recovered in closed form, so plain MSE regression suffices.  A
+refinement that does not beat kinematics on held-out data is dropped, and a
+model without a net predicts exactly `kinematics_step_batch`.
 """
 from __future__ import annotations
 
@@ -25,30 +26,22 @@ CONTROL_COLS = slice(UV, UW + 1)
 
 @dataclass
 class DynamicsModel:
-    net: nn.Mlp               # 7 -> hidden -> 4, tanh output
-    beta: float
-    params: PlatformParams
-    dt: float = DT
-
-
-def zero_dynamics(params: PlatformParams, beta: float = 1.0, dt: float = DT) -> DynamicsModel:
-    """Pure kinematics baseline (refinement net outputs exactly 0)."""
-    net = nn.Mlp([7, 8, 4], out_activation="tanh", seed=0)
-    net.zero_output()
-    return DynamicsModel(net=net, beta=beta, params=params, dt=dt)
+    params: PlatformParams     # limits the kinematics step runs under
+    net: nn.Mlp | None = None  # 7 -> hidden -> 4, tanh output; None: kinematics only
 
 
 def predict_next_batch(model: DynamicsModel, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
-    """(N, 5) x (N, 2) -> (N, 5) one-step prediction: the kinematics step with
-    beta times the net's output as its residual."""
+    """(N, 5) x (N, 2) -> (N, 5) one-step prediction: the kinematics step under
+    the model's platform limits, with the net's output as its residual when
+    there is a net."""
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
     p = model.params
     residual = None
-    if model.beta != 0.0:
-        residual = model.beta * model.net.forward(np.hstack([states, controls]))
+    if model.net is not None:
+        residual = model.net.forward(np.hstack([states, controls]))
     return kinematics_step_batch(states, controls, p.m_v, p.m_omega,
-                                 p.max_speed, p.max_omega, model.dt, residual)
+                                 p.max_speed, p.max_omega, DT, residual)
 
 
 def transitions_from_trajectories(trajectories):
@@ -66,17 +59,17 @@ def transitions_from_trajectories(trajectories):
     return np.vstack(S), np.vstack(U), np.vstack(SN)
 
 
-def residual_targets(S, U, SN, params: PlatformParams, beta: float, dt: float = DT):
+def residual_targets(S, U, SN, params: PlatformParams, dt: float = DT):
     """Invert the refinement equations to get per-transition targets f1..f4."""
     x, y, th, v, om = S.T
     uv, uw = U.T
     dx = SN[:, 0] - x
     dy = SN[:, 1] - y
     v_eff = (np.cos(th) * dx + np.sin(th) * dy) / dt
-    f1 = (v_eff - v) / beta
-    f2 = (wrap_angle(SN[:, 2] - th) / dt - om) / beta
-    f3 = (SN[:, 3] - v - np.clip(uv - v, -params.m_v * dt, params.m_v * dt)) / beta
-    f4 = (SN[:, 4] - om - np.clip(uw - om, -params.m_omega * dt, params.m_omega * dt)) / beta
+    f1 = v_eff - v
+    f2 = wrap_angle(SN[:, 2] - th) / dt - om
+    f3 = SN[:, 3] - v - np.clip(uv - v, -params.m_v * dt, params.m_v * dt)
+    f4 = SN[:, 4] - om - np.clip(uw - om, -params.m_omega * dt, params.m_omega * dt)
     targets = np.stack([f1, f2, f3, f4], axis=1)
     return np.clip(targets, -0.999, 0.999)
 
@@ -89,11 +82,11 @@ def next_state_mse(pred: np.ndarray, observed: np.ndarray) -> float:
 
 
 def train_dynamics(trajectories, params: PlatformParams, config: nn.TrainConfig | None = None,
-                   hidden=(64, 64), beta: float = 1.0, holdout_frac: float = 0.2):
+                   hidden=(64, 64), holdout_frac: float = 0.2):
     """Fit the refinement net; returns (model, held-out MSE, kinematics-baseline MSE).
 
-    If the trained net does not beat the baseline on the held-out split it is
-    zeroed out, so the returned model is never worse than pure kinematics.
+    If the trained net does not beat the baseline on the held-out split, the
+    returned model has no net, so it is never worse than pure kinematics.
     """
     config = config or nn.TrainConfig(lr=1e-3, batch_size=256, epochs=30, seed=0)
     S, U, SN = transitions_from_trajectories(trajectories)
@@ -105,18 +98,17 @@ def train_dynamics(trajectories, params: PlatformParams, config: nn.TrainConfig 
     hold, tr = order[:n_hold], order[n_hold:]
 
     inputs = np.hstack([S, U])
-    targets = residual_targets(S, U, SN, params, beta)
+    targets = residual_targets(S, U, SN, params)
     net = nn.Mlp([7, *hidden, 4], out_activation="tanh", seed=config.seed)
     mu = inputs[tr].mean(axis=0)
     sd = inputs[tr].std(axis=0)
     net.set_input_scaler(mu, np.where(sd > 1e-8, sd, 1.0))
     nn.train(net, inputs[tr], targets[tr], nn.mse_loss, config)
 
-    model = DynamicsModel(net=net, beta=beta, params=params)
-    baseline = zero_dynamics(params, beta=beta)
+    model = DynamicsModel(params, net)
+    baseline = DynamicsModel(params)
     learned_mse = next_state_mse(predict_next_batch(model, S[hold], U[hold]), SN[hold])
     baseline_mse = next_state_mse(predict_next_batch(baseline, S[hold], U[hold]), SN[hold])
-    if learned_mse > baseline_mse:
-        net.zero_output()
-        learned_mse = baseline_mse
+    if not learned_mse < baseline_mse:
+        return baseline, baseline_mse, baseline_mse
     return model, learned_mse, baseline_mse

@@ -9,7 +9,7 @@ CPU only, numpy only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class Mlp:
     def in_dim(self):
         return self.layer_sizes[0]
 
-    @property
-    def out_dim(self):
-        return self.layer_sizes[-1]
-
     def set_input_scaler(self, shift, scale):
         shift = np.asarray(shift, dtype=float)
         scale = np.asarray(scale, dtype=float)
@@ -72,11 +68,6 @@ class Mlp:
 
     def parameters(self):
         return self.weights + self.biases
-
-    def zero_output(self):
-        """Zero the final layer so the net outputs exactly 0 (or the activation of 0)."""
-        self.weights[-1][:] = 0.0
-        self.biases[-1][:] = 0.0
 
     def _prep(self, x):
         x = np.asarray(x, dtype=float)
@@ -91,7 +82,11 @@ class Mlp:
     def forward(self, x):
         X, single = self._prep(x)
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            X = np.maximum(X @ W.T + b, 0.0)
+            # in place, one buffer per layer: training gates ~60k-row batches
+            # through 128-wide nets, and their temporaries set the peak memory
+            X = X @ W.T
+            X += b
+            np.maximum(X, 0.0, out=X)
         Z = X @ self.weights[-1].T + self.biases[-1]
         Y = _out_act(Z, self.out_activation)
         return Y[0] if single else Y
@@ -130,15 +125,6 @@ class Mlp:
                 dA = dZ @ self.weights[i]
                 dZ = dA * (acts[i] > 0)
         return dWs, dbs
-
-    def copy(self):
-        m = Mlp(self.layer_sizes, self.out_activation)
-        m.weights = [W.copy() for W in self.weights]
-        m.biases = [b.copy() for b in self.biases]
-        if self.in_shift is not None:
-            m.in_shift = self.in_shift.copy()
-            m.in_scale = self.in_scale.copy()
-        return m
 
 
 def _out_act(Z, kind):

@@ -72,13 +72,6 @@ def is_in_distribution_batch(model: RejectionModel, X: np.ndarray) -> np.ndarray
     return (s[:, 0] > model.c) & (s[:, 1] > 1.0 - model.c)
 
 
-def is_in_distribution(model: RejectionModel, x) -> bool:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.net.in_dim,):
-        raise ValueError(f"expected feature vector of length {model.net.in_dim}")
-    return bool(is_in_distribution_batch(model, x[None, :])[0])
-
-
 def accepts(score1: float, score2: float, c: float) -> bool:
     """The literal two-inequality predicate on raw scores."""
     return score1 > c and score2 > 1.0 - c

@@ -1,20 +1,22 @@
 """End-to-end training pipeline and model bundle persistence.
 
 Runs the whole chain at desk scale: simulated teleop + pedestrian data,
-per-platform dynamics models, per-task rejection models and barriers.  The
+per-platform dynamics refinements, per-task rejection models and barriers.
+A refinement ships only where it beats kinematics on held-out data.  The
 resulting bundle directory is self-describing (manifest with seeds, sizes
-and file hashes) and is everything a scenario run needs.
+and file hashes) and is everything a scenario run needs; platform limits
+come from `world.make_platform`.
 """
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from . import data, nn, ood
+from . import data, nn
 from .barrier import BarrierModel, CbfTrainConfig, train_cbf
 from .dynamics import DynamicsModel, train_dynamics
 from .ood import RejectionModel, train_ood
@@ -78,18 +80,18 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
     ped_tracks = data.generate_pedestrian_tracks(
         2, cfg.ped_data_seconds, (0.3, 1.2), seed=cfg.seed + 101)
 
-    # 2. per-platform dynamics
-    dynamics = {}
+    # 2. per-platform dynamics; only refinements that beat kinematics ship
+    models = {}
     dyn_report = {}
     for name, trajs in trajectories.items():
         say(f"training dynamics model for {name}")
         platform = make_platform(name, cfg.data_max_speed)
         config = nn.TrainConfig(lr=1e-3, batch_size=256, epochs=cfg.dynamics_epochs,
                                 seed=cfg.seed)
-        model, mse, baseline = train_dynamics(trajs, platform, config)
-        dynamics[name] = model
+        models[name], mse, baseline = train_dynamics(trajs, platform, config)
         dyn_report[name] = {"heldout_mse": mse, "baseline_mse": baseline}
     report["dynamics"] = dyn_report
+    dynamics = {name: m for name, m in models.items() if m.net is not None}
 
     # 3. labeled sets, rejection models, barriers (freight data drives all tasks)
     base_trajs = trajectories["freight"]
@@ -124,7 +126,7 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
                                  epochs=cfg.cbf_epochs, lr=cfg.cbf_lr,
                                  seed=cfg.seed + 401, hidden=TASK_HIDDEN[task],
                                  margin=cfg.cbf_margin)
-        barrier, brep = train_cbf(task, contexts, labels, dynamics["freight"], rej, cbf_cfg)
+        barrier, brep = train_cbf(task, contexts, labels, models["freight"], rej, cbf_cfg)
         barriers[task] = barrier
         task_report[task] = {
             "n_samples": len(labels),
@@ -153,17 +155,11 @@ def _sha256(path):
 
 def save_bundle(bundle: ModelBundle, out_dir, report=None):
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {"format": "safefleet-bundle-v1", "models": {}, "platforms": {},
-                "rejection_c": {}}
+    manifest = {"format": "safefleet-bundle-v1", "models": {}, "rejection_c": {}}
     for name, dyn in bundle.dynamics.items():
         fname = f"dynamics_{name}.mlp"
         nn.save_model(dyn.net, os.path.join(out_dir, fname), role=f"dynamics:{name}")
         manifest["models"][fname] = None
-        manifest["platforms"][name] = {
-            "m_v": dyn.params.m_v, "m_omega": dyn.params.m_omega,
-            "delay_h": dyn.params.delay_h, "max_speed": dyn.params.max_speed,
-            "max_omega": dyn.params.max_omega, "beta": dyn.beta, "dt": dyn.dt,
-        }
     for task, barrier in bundle.barriers.items():
         fname = f"barrier_{task}.mlp"
         nn.save_model(barrier.net, os.path.join(out_dir, fname), role=f"barrier:{task}")
@@ -187,7 +183,6 @@ def load_bundle(bundle_dir) -> ModelBundle:
         manifest = yaml.safe_load(fh)
     if manifest.get("format") != "safefleet-bundle-v1":
         raise ValueError(f"{bundle_dir}: not a model bundle")
-    from .world import PlatformParams
     dynamics, barriers, rejections = {}, {}, {}
     for fname, expected in manifest["models"].items():
         path = os.path.join(bundle_dir, fname)
@@ -196,12 +191,9 @@ def load_bundle(bundle_dir) -> ModelBundle:
         net, role = nn.load_model(path)
         kind, _, tag = role.partition(":")
         if kind == "dynamics":
-            meta = manifest["platforms"][tag]
-            params = PlatformParams(name=tag, m_v=meta["m_v"], m_omega=meta["m_omega"],
-                                    delay_h=meta["delay_h"], max_speed=meta["max_speed"],
-                                    max_omega=meta["max_omega"])
-            dynamics[tag] = DynamicsModel(net=net, beta=meta["beta"], params=params,
-                                          dt=meta["dt"])
+            # trained at the data speed; `ModelBundle.dynamics_for` pairs the
+            # net with each robot's own platform limits
+            dynamics[tag] = DynamicsModel(make_platform(tag, PipelineConfig.data_max_speed), net)
         elif kind == "barrier":
             barriers[tag] = BarrierModel(net=net, task=tag)
         elif kind == "rejection":

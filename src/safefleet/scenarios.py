@@ -15,12 +15,12 @@ from dataclasses import MISSING, dataclass, field, fields, asdict, replace
 import numpy as np
 import yaml
 
-from .barrier import BarrierModel
 from .controller import AgentTrack, ControllerConfig, select_control
 from .dynamics import DynamicsModel
 from .fleet import Orchestrator, Task, WarehouseMap
-from .world import (DT, Control, PedestrianTrack, PedestrianWalker, RobotState,
-                    candidate_controls, make_platform, make_world, step_world)
+from .world import (DT, PedestrianTrack, PedestrianWalker, PlatformParams, RobotState,
+                    candidate_controls, make_platform, make_world, platform_base,
+                    step_world)
 
 STATIONARY_DISPLACEMENT = 0.005   # m per tick; slower ticks do not count as moving
 COLLISION_DISTANCE = 0.5          # m; separation below this counts as a collision tick
@@ -83,15 +83,15 @@ def save_scenario(cfg: ScenarioConfig, path):
 
 @dataclass
 class ModelBundle:
-    dynamics: dict                 # platform base name -> DynamicsModel
+    dynamics: dict                 # platform base name -> DynamicsModel with a learned net
     barriers: dict                 # task -> BarrierModel
     rejections: dict = field(default_factory=dict)
 
-    def dynamics_for(self, platform_name: str) -> DynamicsModel:
-        base = platform_name.split("#")[0]
-        if base not in self.dynamics:
-            raise KeyError(f"no dynamics model for platform {base!r}")
-        return self.dynamics[base]
+    def dynamics_for(self, params: PlatformParams) -> DynamicsModel:
+        """The robot's own platform limits, with the platform's refinement net
+        if one shipped (plain kinematics otherwise)."""
+        learned = self.dynamics.get(platform_base(params.name))
+        return DynamicsModel(params, learned.net if learned is not None else None)
 
 
 @dataclass
@@ -201,7 +201,7 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
             agents = _surrounding_tracks(world, histories, rid)
             commands[rid] = select_control(state, world.robots[rid].queue, agents,
                                            goals[rid], models.barriers,
-                                           models.dynamics_for(platforms[rid].name), cc,
+                                           models.dynamics_for(platforms[rid]), cc,
                                            compensate_delay=cfg.compensate_delay)
 
         _log_tick(log, world)

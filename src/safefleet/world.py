@@ -6,13 +6,13 @@ distance predicate only; there is no contact resolution.
 
 `kinematics_step_batch` is the one differential-drive step: `step_world`
 moves every robot with one call per tick, the data generator steps its
-trajectories through it, and the learned dynamics pass their refinement to
-it as a residual.
+trajectories through it, and the dynamics model predicts with it, passing
+a learned refinement as its residual where one shipped.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,8 +104,13 @@ _PLATFORM_SPECS = {
 }
 
 
+def platform_base(name: str) -> str:
+    """Platform of a robot name: freight#2 style duplicate ids share freight's."""
+    return name.split("#")[0]
+
+
 def make_platform(name: str, max_speed: float, delay_h: float | None = None) -> PlatformParams:
-    base = name.split("#")[0]  # allow freight#2 style duplicate ids
+    base = platform_base(name)
     if base not in _PLATFORM_SPECS:
         raise ValueError(f"unknown platform {name!r}")
     spec = dict(_PLATFORM_SPECS[base])
@@ -120,7 +125,7 @@ def kinematics_step_batch(states: np.ndarray, controls: np.ndarray,
     """Differential-drive step on (N, 5) states under (N, 2) target-velocity controls.
 
     This is the one motion model: the simulator, the data generator and the
-    learned dynamics all step through it.  Velocity change per step is
+    dynamics model all step through it.  Velocity change per step is
     clamped symmetrically to +-accel*dt; speeds are clamped to the platform
     caps afterwards.  The limits are scalars or per-row arrays.  The optional
     (N, 4) residual adds to the effective v and omega of the pose update and

@@ -5,12 +5,12 @@ scenarios, and the model-quality and numerical-correctness checks against
 the cached model bundle.  These are desk-scale simulation analogues of the
 physical experiments; tolerances are pinned next to each assertion.
 
-Known red: the delay-compensation ablation (test_criterion_9_*).  In this
-simulator the uncompensated controller reacts late to crossing pedestrians,
-which behaves like hesitation and lets them clear first, so its minimum
-distances come out slightly wider.  Compensation-on tracks the zero-delay
-run almost exactly per rep, i.e. the compensation itself is correct.  See
-README.md ("Known limitations") for the full analysis.
+Known red: the delay-compensation ablation (test_criterion_9_*).  Over its
+10 reps the mean minimum distance is 1.044 m with compensation on, 1.079 m
+with it off and 0.954 m without delay.  Off reaches the goal 1-3 ticks
+sooner in 9 of 10 reps, so it does not hesitate, and on differs from the
+zero-delay run by more than 0.15 m in 4 of 10 reps.  The cause is open; see
+README.md ("Known limitations").
 """
 import math
 
@@ -21,13 +21,14 @@ from safefleet import nn
 from safefleet.barrier import _gated_argmax, successor_features
 from safefleet.data import (LABEL_SAFE, LabelingConfig, features_from_context,
                             split_labels)
-from safefleet.dynamics import predict_next_batch, zero_dynamics
+from safefleet.dynamics import predict_next_batch
 from safefleet.ood import is_in_distribution_batch
 from safefleet.scenarios import (ScenarioConfig, compute_metrics, emit_report,
                                  head_to_head_config, pick_and_place_config,
                                  run_scenario, run_single, serialize_log,
                                  summarize, unit_task_config)
-from safefleet.world import DT, candidate_controls, wrap_angle
+from safefleet.world import (DT, candidate_controls, kinematics_step_batch, make_platform,
+                             wrap_angle)
 
 SPEEDS = (0.5, 1.0, 1.5)
 GAMMA = 1.0                     # class-K slope the barriers were trained with
@@ -144,7 +145,7 @@ def test_criterion_6_forward_invariance_probe(bundle, task_samples, task):
     contexts = contexts[idx]
 
     barrier = bundle.barriers[task]
-    dyn = bundle.dynamics["freight"]
+    dyn = bundle.dynamics_for(make_platform("freight", 1.5))   # as in training
     rej = bundle.rejections[task]
 
     b_now = barrier.value(features_from_context(task, contexts))
@@ -176,27 +177,29 @@ def test_criterion_7_heldout_mse_beats_baseline(training_report):
 
 
 def test_criterion_7_refinement_boundedness(bundle):
-    """|learned next state - kinematics next state| <= beta*dt per component
-    on 1e4 random inputs, for every platform."""
+    """|runtime next state - kinematics next state| <= dt per component on
+    1e4 random inputs, for the model every platform runs at every speed."""
     rng = np.random.default_rng(7)
     n = 10_000
-    for name, dyn in bundle.dynamics.items():
-        p = dyn.params
-        states = np.column_stack([
-            rng.uniform(-10, 10, n), rng.uniform(-10, 10, n),
-            rng.uniform(-math.pi, math.pi, n),
-            rng.uniform(-p.max_speed, p.max_speed, n),
-            rng.uniform(-p.max_omega, p.max_omega, n)])
-        controls = np.column_stack([
-            rng.uniform(-p.max_speed, p.max_speed, n),
-            rng.uniform(-p.max_omega, p.max_omega, n)])
-        pred = predict_next_batch(dyn, states, controls)
-        base = predict_next_batch(zero_dynamics(p), states, controls)
-        diff = pred - base
-        diff[:, 2] = wrap_angle(diff[:, 2])
-        bound = dyn.beta * DT + 1e-9
-        assert np.all(np.abs(diff) <= bound), \
-            f"{name}: refinement exceeds beta*dt ({np.abs(diff).max():.3e})"
+    for name in ("freight", "jackal", "megarover"):
+        for speed in SPEEDS:
+            p = make_platform(name, speed)
+            dyn = bundle.dynamics_for(p)
+            states = np.column_stack([
+                rng.uniform(-10, 10, n), rng.uniform(-10, 10, n),
+                rng.uniform(-math.pi, math.pi, n),
+                rng.uniform(-p.max_speed, p.max_speed, n),
+                rng.uniform(-p.max_omega, p.max_omega, n)])
+            controls = np.column_stack([
+                rng.uniform(-p.max_speed, p.max_speed, n),
+                rng.uniform(-p.max_omega, p.max_omega, n)])
+            pred = predict_next_batch(dyn, states, controls)
+            base = kinematics_step_batch(states, controls, p.m_v, p.m_omega,
+                                         p.max_speed, p.max_omega, DT)
+            diff = pred - base
+            diff[:, 2] = wrap_angle(diff[:, 2])
+            assert np.all(np.abs(diff) <= DT + 1e-9), \
+                f"{name} at {speed} m/s: refinement exceeds dt ({np.abs(diff).max():.3e})"
 
 
 # ---------------------------------------------------------------------------

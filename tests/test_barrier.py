@@ -7,18 +7,19 @@ from safefleet.barrier import (BarrierModel, CbfTrainConfig, advance_contexts,
                                discrete_lie_derivative, successor_features,
                                _batch_step, _gate_of, _gated_argmax)
 from safefleet.data import features_from_context
-from safefleet.dynamics import predict_next_batch, zero_dynamics
+from safefleet.dynamics import DynamicsModel, predict_next_batch
 from safefleet.ood import RejectionModel
 from safefleet.world import DT, candidate_controls, make_platform
 
-FREIGHT_DYN = zero_dynamics(make_platform("freight", 1.0))
+FREIGHT_DYN = DynamicsModel(make_platform("freight", 1.0))
 CANDS = candidate_controls(1.0)
 
 
 def constant_barrier(task, value, in_dim):
     """Net that outputs `value` for every input."""
     net = nn.Mlp([in_dim, 4, 1], out_activation="identity", seed=0)
-    net.zero_output()
+    net.weights[-1][:] = 0.0
+    net.biases[-1][:] = 0.0
     net.biases[-1][0] = value
     return BarrierModel(net=net, task=task)
 
@@ -26,14 +27,16 @@ def constant_barrier(task, value, in_dim):
 def accept_all_rejection(in_dim):
     """Two-score net pinned far above both thresholds."""
     net = nn.Mlp([in_dim, 4, 2], out_activation="sigmoid", seed=0)
-    net.zero_output()
+    net.weights[-1][:] = 0.0
+    net.biases[-1][:] = 0.0
     net.biases[-1][:] = 10.0  # sigmoid(10) ~ 1
     return RejectionModel(net=net, c=0.25)
 
 
 def reject_all_rejection(in_dim):
     net = nn.Mlp([in_dim, 4, 2], out_activation="sigmoid", seed=0)
-    net.zero_output()
+    net.weights[-1][:] = 0.0
+    net.biases[-1][:] = 0.0
     net.biases[-1][:] = -10.0
     return RejectionModel(net=net, c=0.25)
 

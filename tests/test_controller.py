@@ -7,11 +7,11 @@ from safefleet.controller import (AgentTrack, ControllerConfig, MissingBarrierEr
                                   classify_agent, filter_candidates, goal_score, recovery_control,
                                   plan_start_state, select_control)
 from safefleet.data import features_from_context
-from safefleet.dynamics import predict_next_batch, zero_dynamics
+from safefleet.dynamics import DynamicsModel, predict_next_batch
 from safefleet.world import (Control, RobotAgent, RobotState, candidate_controls,
                              coast_step_batch, make_platform, make_world, step_world)
 
-DYN = zero_dynamics(make_platform("freight", 1.0))
+DYN = DynamicsModel(make_platform("freight", 1.0))
 CANDS = candidate_controls(1.0)
 
 
@@ -21,7 +21,8 @@ def _cfg(**kw):
 
 def constant_barrier(task, value, in_dim):
     net = nn.Mlp([in_dim, 4, 1], out_activation="identity", seed=0)
-    net.zero_output()
+    net.weights[-1][:] = 0.0
+    net.biases[-1][:] = 0.0
     net.biases[-1][0] = value
     return BarrierModel(net=net, task=task)
 
@@ -62,7 +63,7 @@ class TestPlanStartState:
         assert got == RobotState.from_array(want[0])
 
     def test_two_step_queue_megarover(self):
-        dyn = zero_dynamics(make_platform("megarover", 1.0))
+        dyn = DynamicsModel(make_platform("megarover", 1.0))
         s = RobotState(0, 0, 0, 0.0, 0)
         q = (Control(1.0, 0), Control(1.0, 0))
         got = plan_start_state(s, q, dyn)
@@ -73,10 +74,10 @@ class TestPlanStartState:
         assert got.v == pytest.approx(0.12)  # two accel-clamped steps
 
     def test_delay_correctness_against_simulator(self):
-        # with net = 0 the planned start state equals, bit for bit, the
+        # without a net the planned start state equals, bit for bit, the
         # noiseless simulator's state once the queued controls execute
         params = make_platform("megarover", 1.0)
-        dyn = zero_dynamics(params)
+        dyn = DynamicsModel(params)
         s = RobotState(2, 3, 0.5, 0.4, -0.2)
         q = (Control(0.5, 0.4), Control(1.0, -0.8))
         planned = plan_start_state(s, q, dyn)
@@ -209,7 +210,7 @@ def test_filter_matches_per_step_reference(agents, offset, max_speed, models, re
     cfg = ControllerConfig(candidates=candidate_controls(max_speed), desired_speed=max_speed)
     if models == "bundle":
         bundle = request.getfixturevalue("bundle")
-        barriers, dyn = bundle.barriers, bundle.dynamics_for("freight")
+        barriers, dyn = bundle.barriers, bundle.dynamics_for(make_platform("freight", max_speed))
     else:
         barriers, dyn = _geometric_barriers(), DYN
     args = (_START, _AGENTS[agents], barriers, dyn, cfg)

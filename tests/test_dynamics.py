@@ -4,8 +4,9 @@ import pytest
 from safefleet import nn
 from safefleet.dynamics import (DynamicsModel, next_state_mse, predict_next_batch,
                                 residual_targets, train_dynamics,
-                                transitions_from_trajectories, zero_dynamics)
-from safefleet.world import DT, Control, RobotState, make_platform, make_world, step_world
+                                transitions_from_trajectories)
+from safefleet.world import (DT, Control, RobotState, kinematics_step_batch, make_platform,
+                             make_world, step_world, wrap_angle)
 
 FREIGHT = make_platform("freight", 1.0)
 FREIGHT_NO_DELAY = make_platform("freight", 1.0, delay_h=0.0)
@@ -18,61 +19,72 @@ def _random_states(n, rng):
                             rng.uniform(-1.5, 1.5, n)])
 
 
+def _zero_net():
+    """A refinement net with an all-zero output layer, as older bundles shipped."""
+    net = nn.Mlp([7, 8, 4], out_activation="tanh", seed=0)
+    net.weights[-1][:] = 0.0
+    net.biases[-1][:] = 0.0
+    return net
+
+
 class TestPredictNext:
     def test_zero_net_matches_ground_truth(self):
-        # bit-equal to one noiseless simulator tick
-        model = zero_dynamics(FREIGHT)
+        # bit-equal to one noiseless simulator tick, with an all-zero net
+        # (older bundles) and without a net
+        models = [DynamicsModel(FREIGHT, _zero_net()), DynamicsModel(FREIGHT)]
         rng = np.random.default_rng(0)
         for _ in range(50):
             s = _random_states(1, rng)
             u = np.array([[rng.uniform(-1, 1), rng.uniform(-1.5, 1.5)]])
-            got = predict_next_batch(model, s, u)[0]
             world = make_world({"r": (RobotState(*s[0]), FREIGHT_NO_DELAY)}, noise_sigma=0.0)
             want = step_world(world, {"r": Control(*u[0])}).robot_state("r").as_array()
-            np.testing.assert_array_equal(got, want)
+            for model in models:
+                np.testing.assert_array_equal(predict_next_batch(model, s, u)[0], want)
 
-    def test_beta_zero_is_kinematics_baseline(self):
-        net = nn.Mlp([7, 8, 4], out_activation="tanh", seed=5)  # arbitrary net
-        model = DynamicsModel(net=net, beta=0.0, params=FREIGHT)
-        baseline = zero_dynamics(FREIGHT)
+    def test_no_net_is_kinematics_step(self):
+        # also with an all-zero net: older bundles predict the same bits
         rng = np.random.default_rng(1)
-        S = _random_states(20, rng)
-        U = rng.uniform(-1, 1, (20, 2))
-        assert np.allclose(predict_next_batch(model, S, U),
-                           predict_next_batch(baseline, S, U))
+        S = _random_states(200, rng)
+        U = rng.uniform(-1.5, 1.5, (200, 2))
+        for name in ("freight", "jackal", "megarover"):
+            for max_speed in (0.5, 1.0, 1.5):
+                p = make_platform(name, max_speed)
+                want = kinematics_step_batch(S, U, p.m_v, p.m_omega, p.max_speed,
+                                             p.max_omega, DT)
+                for model in (DynamicsModel(p), DynamicsModel(p, _zero_net())):
+                    np.testing.assert_array_equal(predict_next_batch(model, S, U), want)
 
     def test_refinement_doubles_effective_velocity(self):
-        # force f = (~1, 0, 0, 0): x advance becomes (v + beta*f1)*dt ~ 0.2
+        # force f = (~1, 0, 0, 0): x advance becomes (v + f1)*dt ~ 0.2
         net = nn.Mlp([7, 4, 4], out_activation="tanh", seed=0)
-        net.zero_output()
+        net.weights[-1][:] = 0.0
+        net.biases[-1][:] = 0.0
         net.biases[-1][0] = 10.0  # tanh(10) = 1 - 4e-9
-        model = DynamicsModel(net=net, beta=1.0, params=FREIGHT)
+        model = DynamicsModel(FREIGHT, net)
         s = predict_next_batch(model, np.array([[0, 0, 0, 1.0, 0]]), np.array([[1.0, 0]]))[0]
         assert s[0] == pytest.approx(0.2, abs=1e-6)
 
     def test_boundedness_of_corrections(self):
-        # every correction magnitude <= beta (position/heading scaled by dt)
+        # every correction magnitude <= 1 (position/heading scaled by dt)
         net = nn.Mlp([7, 32, 4], out_activation="tanh", seed=3)
-        beta = 1.0
-        model = DynamicsModel(net=net, beta=beta, params=FREIGHT)
-        baseline = zero_dynamics(FREIGHT)
+        model = DynamicsModel(FREIGHT, net)
+        baseline = DynamicsModel(FREIGHT)
         rng = np.random.default_rng(2)
         S = _random_states(10_000, rng)
         U = rng.uniform(-1.5, 1.5, (10_000, 2))
         diff = predict_next_batch(model, S, U) - predict_next_batch(baseline, S, U)
-        from safefleet.world import wrap_angle
-        assert np.all(np.abs(diff[:, 0]) <= beta * DT + 1e-9)   # x
-        assert np.all(np.abs(diff[:, 1]) <= beta * DT + 1e-9)   # y
-        assert np.all(np.abs(wrap_angle(diff[:, 2])) <= beta * DT + 1e-9)  # theta
-        assert np.all(np.abs(diff[:, 3]) <= beta + 1e-9)        # v (clamped anyway)
-        assert np.all(np.abs(diff[:, 4]) <= beta + 1e-9)        # omega
+        assert np.all(np.abs(diff[:, 0]) <= DT + 1e-9)   # x
+        assert np.all(np.abs(diff[:, 1]) <= DT + 1e-9)   # y
+        assert np.all(np.abs(wrap_angle(diff[:, 2])) <= DT + 1e-9)  # theta
+        assert np.all(np.abs(diff[:, 3]) <= 1 + 1e-9)    # v (clamped anyway)
+        assert np.all(np.abs(diff[:, 4]) <= 1 + 1e-9)    # omega
 
 
 class TestResidualInversion:
     def test_targets_invert_the_refinement(self):
         # round trip: predict with a net, recover its outputs from the transition
         net = nn.Mlp([7, 16, 4], out_activation="tanh", seed=4)
-        model = DynamicsModel(net=net, beta=1.0, params=FREIGHT)
+        model = DynamicsModel(FREIGHT, net)
         rng = np.random.default_rng(5)
         S = _random_states(200, rng)
         S[:, 3] *= 0.5  # keep away from the speed clamps
@@ -83,7 +95,7 @@ class TestResidualInversion:
         clamped = (np.abs(SN[:, 3]) >= FREIGHT.max_speed - 1e-9) | \
                   (np.abs(SN[:, 4]) >= FREIGHT.max_omega - 1e-9) | \
                   np.any(np.abs(f) > 0.999, axis=1)  # target clip range
-        targets = residual_targets(S, U, SN, FREIGHT, beta=1.0)
+        targets = residual_targets(S, U, SN, FREIGHT)
         assert np.sum(~clamped) > 50  # the round trip must actually be exercised
         assert np.allclose(targets[~clamped], f[~clamped], atol=1e-8)
 

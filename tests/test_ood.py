@@ -3,8 +3,7 @@ import pytest
 
 from safefleet import nn
 from safefleet.ood import (RejectionModel, accepts, inflated_bounds,
-                           is_in_distribution, is_in_distribution_batch,
-                           train_ood)
+                           is_in_distribution_batch, train_ood)
 
 
 class TestAcceptPredicate:
@@ -54,7 +53,7 @@ class TestRejectionModel:
         net = nn.Mlp([3, 4, 2], out_activation="sigmoid", seed=0)
         model = RejectionModel(net=net, c=0.1)
         with pytest.raises(ValueError):
-            is_in_distribution(model, np.ones(5))
+            is_in_distribution_batch(model, np.ones((1, 5)))
 
 
 class TestInflatedBounds:
