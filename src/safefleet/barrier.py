@@ -6,7 +6,7 @@ forward-invariance term keeps the best candidate control inside the set:
 
     loss = mean relu(-B(x)) over safe
          + mean relu(B(x)) over unsafe
-         + mean relu(-(B(x') - B(x))/dt - gamma*B(x)) over safe,
+         + mean relu(-(B(x') - B(x))/DT - GAMMA*B(x)) over safe,
 
 where x' follows the dynamics model under the candidate that maximizes
 B(x') among successors passing the OOD gate.  Unlabeled samples are
@@ -27,6 +27,12 @@ from .dynamics import DynamicsModel, predict_next_batch
 from .ood import RejectionModel, is_in_distribution_batch
 from .world import DT, coast_step_batch
 
+GAMMA = 1.0          # class-K slope, 1/s; alpha(b) = GAMMA*b, and GAMMA*DT < 1 contracts
+MARGIN = 0.1         # training's hinge margin on the sign terms; keeps B from collapsing to ~0
+LR = 1e-3            # Adam step size
+BATCH_SIZE = 256     # safe samples per mini-batch
+HOLDOUT_FRAC = 0.1   # share of safe and of unsafe samples held out for the sign accuracies
+
 
 @dataclass
 class BarrierModel:
@@ -40,24 +46,12 @@ class BarrierModel:
 
 @dataclass
 class CbfTrainConfig:
-    gamma: float = 1.0             # class-K slope, 1/s; alpha(b) = gamma*b
     candidates: np.ndarray = None  # (C, 2) discrete control set
-    dt: float = DT
     epochs: int = 60
-    lr: float = 1e-3
-    batch_size: int = 256
     seed: int = 0
     hidden: tuple = (32, 32)
-    holdout_frac: float = 0.1
-    margin: float = 0.1   # hinge margin on the sign terms; keeps B from collapsing to ~0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-        if self.gamma * self.dt >= 1:
-            raise ValueError("gamma*dt must be < 1 for a contractive target")
         if self.candidates is None or len(self.candidates) == 0:
             raise ValueError("candidate set must be non-empty")
         self.candidates = np.asarray(self.candidates, dtype=float)
@@ -88,7 +82,7 @@ def advance_contexts(task: str, contexts: np.ndarray, controls: np.ndarray,
         out[:, :, 7:9] = C[:, None, 9:11]
         out[:, :, 9:11] = p_next[:, None, :]
     elif task == "multirobot":
-        other_next = coast_step_batch(C[:, 5:10], DT)
+        other_next = coast_step_batch(C[:, 5:10])
         out[:, :, 5:10] = other_next[:, None, :]
     else:
         raise ValueError(f"unknown task {task!r}")
@@ -104,15 +98,15 @@ def successor_features(task: str, contexts: np.ndarray, controls: np.ndarray,
 
 
 def discrete_lie_derivative(barrier: BarrierModel, dyn: DynamicsModel,
-                            context: np.ndarray, control, dt: float = DT) -> float:
-    """(B(x') - B(x)) / dt for a single raw context under one control."""
+                            context: np.ndarray, control) -> float:
+    """(B(x') - B(x)) / DT for a single raw context under one control."""
     ctx = np.asarray(context, dtype=float)
     feats_now = features_from_context(barrier.task, ctx[None, :])
     feats_next = successor_features(barrier.task, ctx[None, :],
                                     np.asarray(control, dtype=float)[None, :], dyn)[0]
     b_now = barrier.value(feats_now)[0]
     b_next = barrier.value(feats_next)[0]
-    return float((b_next - b_now) / dt)
+    return float((b_next - b_now) / DT)
 
 
 def _gated_argmax(b_succ: np.ndarray, gate: np.ndarray) -> np.ndarray:
@@ -161,7 +155,7 @@ def cbf_loss(barrier: BarrierModel, safe_feats, safe_ctx, unsafe_feats,
     """Full-batch value of the training loss (no gradients).
 
     With margin = 0 this is the plain three-term hinge; training uses
-    cfg.margin > 0 on the two sign terms so the zero level set lands between
+    MARGIN > 0 on the two sign terms so the zero level set lands between
     the classes instead of collapsing onto whichever side is denser.
     """
     safe_feats = np.atleast_2d(safe_feats)
@@ -174,24 +168,24 @@ def cbf_loss(barrier: BarrierModel, safe_feats, safe_ctx, unsafe_feats,
     n, m, fdim = succ.shape
     b_succ = barrier.net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
     b_next = b_succ[np.arange(n), _gated_argmax(b_succ, _gate_of(rej, succ))]
-    return _cbf_objective(b_s, b_u, b_next, cfg.dt, cfg.gamma, margin)[0]
+    return _cbf_objective(b_s, b_u, b_next, margin)[0]
 
 
-def _cbf_objective(b_s, b_u, b_next, dt, gamma, margin):
+def _cbf_objective(b_s, b_u, b_next, margin):
     """The three-term hinge loss and its gradients w.r.t. b_s, b_u and b_next.
 
     b_next[i] is the barrier value of safe sample i's chosen successor.
     Returns (loss, dL/db_s, dL/db_u, dL/db_next).
     """
-    lie = (b_next - b_s) / dt
-    feas = -lie - gamma * b_s
+    lie = (b_next - b_s) / DT
+    feas = -lie - GAMMA * b_s
     loss = (np.maximum(margin - b_s, 0.0).mean() + np.maximum(margin + b_u, 0.0).mean()
             + np.maximum(feas, 0.0).mean())
     safe_hinge = (b_s < margin).astype(float) / len(b_s)
     unsafe_hinge = (b_u > -margin).astype(float) / len(b_u)
     feas_hinge = (feas > 0).astype(float) / len(b_s)
-    return (float(loss), feas_hinge * (1.0 / dt - gamma) - safe_hinge, unsafe_hinge,
-            -feas_hinge / dt)
+    return (float(loss), feas_hinge * (1.0 / DT - GAMMA) - safe_hinge, unsafe_hinge,
+            -feas_hinge / DT)
 
 
 def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: DynamicsModel,
@@ -211,8 +205,8 @@ def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: Dynamics
         raise ValueError("need both safe and unsafe labeled samples")
 
     rng = np.random.default_rng(cfg.seed)
-    hold_s = _holdout_mask(len(feats_s), cfg.holdout_frac, rng)
-    hold_u = _holdout_mask(len(feats_u), cfg.holdout_frac, rng)
+    hold_s = _holdout_mask(len(feats_s), rng)
+    hold_u = _holdout_mask(len(feats_u), rng)
     held = {"safe": feats_s[hold_s], "unsafe": feats_u[hold_u]}
     feats_s, ctx_s = feats_s[~hold_s], ctx_s[~hold_s]
     feats_u = feats_u[~hold_u]
@@ -234,7 +228,7 @@ def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: Dynamics
         gate_n = np.empty((0, succ_s.shape[1]), bool)
 
     params = net.parameters()
-    opt = nn.Adam(params, lr=cfg.lr)
+    opt = nn.Adam(params, lr=LR)
     curve = []
     for _ in range(cfg.epochs):
         # soft re-annotation against the current barrier
@@ -247,16 +241,16 @@ def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: Dynamics
         ns, nu = len(ep_safe_feats), len(ep_unsafe)
         order_s = rng.permutation(ns)
         order_u = rng.permutation(nu)
-        n_batches = max(1, ns // cfg.batch_size)
+        n_batches = max(1, ns // BATCH_SIZE)
         bs_u = max(1, nu // n_batches)
         losses = []
         for b in range(n_batches):
-            si = order_s[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            si = order_s[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]
             ui = order_u[b * bs_u:(b + 1) * bs_u]
             if len(si) == 0 or len(ui) == 0:
                 continue
             loss = _batch_step(net, opt, params, ep_safe_feats[si], ep_succ[si],
-                               ep_gate[si], ep_unsafe[ui], cfg)
+                               ep_gate[si], ep_unsafe[ui])
             if not np.isfinite(loss):
                 raise nn.TrainingDiverged(f"CBF loss became {loss}")
             losses.append(loss)
@@ -274,7 +268,7 @@ def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: Dynamics
     return barrier, report
 
 
-def _batch_step(net, opt, params, xs, succ, gate, xu, cfg):
+def _batch_step(net, opt, params, xs, succ, gate, xu):
     """One mini-batch gradient step on the three-term loss."""
     bs, n_cand, fdim = succ.shape
     bu = len(xu)
@@ -286,7 +280,7 @@ def _batch_step(net, opt, params, xs, succ, gate, xu, cfg):
     stacked = np.vstack([xs, xu, chosen])
     out, cache = net.forward_cached(stacked)
     loss, g_s, g_u, g_next = _cbf_objective(out[:bs, 0], out[bs:bs + bu, 0],
-                                            out[bs + bu:, 0], cfg.dt, cfg.gamma, cfg.margin)
+                                            out[bs + bu:, 0], MARGIN)
     dY = np.zeros_like(out)
     dY[:bs, 0] = g_s
     dY[bs:bs + bu, 0] = g_u
@@ -296,9 +290,9 @@ def _batch_step(net, opt, params, xs, succ, gate, xu, cfg):
     return loss
 
 
-def _holdout_mask(n, frac, rng):
+def _holdout_mask(n, rng):
     mask = np.zeros(n, bool)
-    k = int(n * frac)
+    k = int(n * HOLDOUT_FRAC)
     if k:
         mask[rng.choice(n, size=k, replace=False)] = True
     return mask

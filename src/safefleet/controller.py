@@ -19,6 +19,10 @@ from .data import features_from_context
 from .dynamics import DynamicsModel, predict_next_batch
 from .world import DT, Control, RobotState, coast_step_batch
 
+HORIZON = 15                   # unroll depth, steps
+STATIC_SPEED_THRESHOLD = 0.05  # m/s; slower agents count as static obstacles
+INTERACTION_RADIUS = 5.0       # m; agents farther than this are ignored
+
 
 class MissingBarrierError(RuntimeError):
     """No barrier model is loaded for an encountered agent kind."""
@@ -27,8 +31,7 @@ class MissingBarrierError(RuntimeError):
 @dataclass(frozen=True)
 class AgentTrack:
     id: str
-    positions: np.ndarray                 # (3, 2), oldest first, dt spacing
-    kind: str | None = None               # platform name for self-declared robots
+    positions: np.ndarray                 # (3, 2), oldest first, DT spacing
     state: RobotState | None = None       # full state, robots only
 
     def __post_init__(self):
@@ -40,27 +43,19 @@ class AgentTrack:
 @dataclass
 class ControllerConfig:
     candidates: np.ndarray                # (C, 2) canonical candidate set
-    horizon: int = 15                     # unroll depth, steps
-    static_speed_threshold: float = 0.05  # m/s
-    w_v: float = 1.0
-    w_g: float = 1.0
     desired_speed: float = 1.0
-    interaction_radius: float = 5.0       # agents farther than this are ignored
-    dt: float = DT
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         self.candidates = np.asarray(self.candidates, dtype=float)
 
 
-def classify_agent(track: AgentTrack, cfg: ControllerConfig) -> str:
-    """'robot:<platform>' for self-declared robots, else mean-speed thresholding."""
-    if track.kind is not None:
-        return f"robot:{track.kind}"
+def classify_agent(track: AgentTrack) -> str:
+    """'robot' for tracks that carry a full state, else mean-speed thresholding."""
+    if track.state is not None:
+        return "robot"
     steps = np.diff(track.positions, axis=0)
-    mean_speed = float(np.linalg.norm(steps, axis=1).mean()) / cfg.dt
-    return "static" if mean_speed < cfg.static_speed_threshold else "pedestrian"
+    mean_speed = float(np.linalg.norm(steps, axis=1).mean()) / DT
+    return "static" if mean_speed < STATIC_SPEED_THRESHOLD else "pedestrian"
 
 
 def plan_start_state(current: RobotState, queue, dyn: DynamicsModel) -> RobotState:
@@ -72,32 +67,30 @@ def plan_start_state(current: RobotState, queue, dyn: DynamicsModel) -> RobotSta
     return RobotState.from_array(state[0])
 
 
-def _predicted_agent(track: AgentTrack, cfg: ControllerConfig, steps: np.ndarray):
+def _predicted_agent(track: AgentTrack, steps: np.ndarray):
     """Barrier task of one agent, with its context columns (S, k) and positions
     (S, 2) extrapolated to each of the ascending `steps` (>= 1)."""
-    kind = classify_agent(track, cfg)
+    kind = classify_agent(track)
     if kind == "static":
         cols = np.tile(track.positions[-1], (len(steps), 1))
         return "static", cols, cols
     if kind == "pedestrian":
-        vel = (track.positions[2] - track.positions[0]) / (2.0 * cfg.dt)
+        vel = (track.positions[2] - track.positions[0]) / (2.0 * DT)
         # constant velocity; the history window of step s is steps s-2, s-1, s
         ks = steps[:, None] + np.arange(-2, 1)
-        windows = track.positions[2] + ks[..., None] * cfg.dt * vel
+        windows = track.positions[2] + ks[..., None] * DT * vel
         return "dynamic", windows.reshape(len(steps), 6), windows[:, 2]
-    if track.state is None:
-        raise ValueError(f"robot track {track.id} is missing a full state")
     states = np.empty((steps[-1] + 1, 5))
     states[0] = track.state.as_array()
     for k in range(steps[-1]):
-        states[k + 1] = coast_step_batch(states[k][None, :], cfg.dt)[0]
+        states[k + 1] = coast_step_batch(states[k][None, :])[0]
     return "multirobot", states[steps], states[steps, 0:2]
 
 
 def filter_candidates(start: RobotState, agents, barriers: dict,
                       dyn: DynamicsModel, cfg: ControllerConfig,
                       time_offset_steps: int = 0):
-    """Unroll every candidate `horizon` steps and veto any whose predicted
+    """Unroll every candidate `HORIZON` steps and veto any whose predicted
     states put some agent's barrier below zero.
 
     Two phases: the dynamics roll the candidates forward step by step into an
@@ -117,22 +110,22 @@ def filter_candidates(start: RobotState, agents, barriers: dict,
     """
     cands = cfg.candidates
     n_cand = len(cands)
-    traj = np.empty((cfg.horizon, n_cand, 5))
+    traj = np.empty((HORIZON, n_cand, 5))
     states = np.tile(start.as_array(), (n_cand, 1))
-    for k in range(cfg.horizon):
+    for k in range(HORIZON):
         states = traj[k] = predict_next_batch(dyn, states, cands)
     flat = traj.reshape(-1, 5)              # row k*C + c: candidate c at step k+1
-    steps = np.arange(1, cfg.horizon + 1) + time_offset_steps
+    steps = np.arange(1, HORIZON + 1) + time_offset_steps
     worst_b = np.full(n_cand, np.inf)
     worst_d = np.full(n_cand, np.inf)
     for track in agents:
-        if np.linalg.norm(track.positions[-1] - start.position) > cfg.interaction_radius:
+        if np.linalg.norm(track.positions[-1] - start.position) > INTERACTION_RADIUS:
             continue
-        task, cols, pos = _predicted_agent(track, cfg, steps)
+        task, cols, pos = _predicted_agent(track, steps)
         if task not in barriers:
             raise MissingBarrierError(f"no barrier model for agent kind {task!r}")
         ctx = np.hstack([flat, np.repeat(cols, n_cand, axis=0)])
-        b = barriers[task].value(features_from_context(task, ctx)).reshape(cfg.horizon, n_cand)
+        b = barriers[task].value(features_from_context(task, ctx)).reshape(HORIZON, n_cand)
         worst_b = np.minimum(worst_b, b.min(axis=0))
         d = np.linalg.norm(traj[:, :, 0:2] - pos[:, None, :], axis=2)
         worst_d = np.minimum(worst_d, d.min(axis=0))
@@ -158,9 +151,9 @@ def recovery_control(cfg: ControllerConfig, worst_b: np.ndarray,
 
 def goal_score(terminal: np.ndarray, goal, cfg: ControllerConfig) -> np.ndarray:
     """Velocity-tracking plus goal-reaching score of each (N, 5) terminal
-    state row; 0 is the maximum."""
+    state row, the two terms weighted equally; 0 is the maximum."""
     dist = np.linalg.norm(terminal[:, 0:2] - np.asarray(goal, dtype=float), axis=1)
-    return -cfg.w_v * np.abs(terminal[:, 3] - cfg.desired_speed) - cfg.w_g * dist
+    return -np.abs(terminal[:, 3] - cfg.desired_speed) - dist
 
 
 def select_control(current: RobotState, queue, agents, goal, barriers: dict,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import (DT, PlatformParams, candidate_controls, kinematics_step_batch,
-                    wrap_angle)
+from .world import (DT, VELOCITY_NOISE, PlatformParams, candidate_controls,
+                    kinematics_step_batch, wrap_angle)
 
 TASKS = ("static", "dynamic", "multirobot")
 FEATURE_DIMS = {"static": 5, "dynamic": 9, "multirobot": 8}
@@ -32,6 +32,11 @@ CONTEXT_DIMS = {"static": 7, "dynamic": 11, "multirobot": 10}
 LABEL_SAFE = "safe"
 LABEL_UNSAFE = "unsafe"
 LABEL_UNLABELED = "unlabeled"
+
+ARENA = (12.0, 12.0)       # m; the data generator's walled square
+WALL_MARGIN = 1.8          # m; closer to a wall than this, robots steer back inward
+CHUNK_SECONDS = 60.0       # length of one recorded robot trajectory
+MAX_OBSTACLE_DIST = 3.0    # m; sampled static obstacles lie this close to the path
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,9 @@ def features_from_context(task: str, contexts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory generation
 
-def _steer_inward(x, y, theta, arena, candidates) -> np.ndarray:
+def _steer_inward(x, y, theta, candidates) -> np.ndarray:
     """Pick a gentle candidate turning the robot back toward the arena center."""
-    cx, cy = arena[0] / 2.0, arena[1] / 2.0
+    cx, cy = ARENA[0] / 2.0, ARENA[1] / 2.0
     bearing = math.atan2(cy - y, cx - x)
     err = float(wrap_angle(bearing - theta))
     angulars = np.unique(candidates[:, 1])
@@ -84,36 +89,34 @@ def _steer_inward(x, y, theta, arena, candidates) -> np.ndarray:
     return np.array([0.3, u_w])
 
 
-def _near_wall_heading_out(x, y, theta, arena, margin=1.8) -> bool:
+def _near_wall_heading_out(x, y, theta) -> bool:
     hx, hy = math.cos(theta), math.sin(theta)
-    if x < margin and hx < 0:
+    if x < WALL_MARGIN and hx < 0:
         return True
-    if x > arena[0] - margin and hx > 0:
+    if x > ARENA[0] - WALL_MARGIN and hx > 0:
         return True
-    if y < margin and hy < 0:
+    if y < WALL_MARGIN and hy < 0:
         return True
-    if y > arena[1] - margin and hy > 0:
+    if y > ARENA[1] - WALL_MARGIN and hy > 0:
         return True
     return False
 
 
-def generate_robot_trajectories(platform: PlatformParams, duration: float, seed: int,
-                                arena=(12.0, 12.0), chunk_seconds: float = 60.0,
-                                noise_sigma: float = 0.01):
+def generate_robot_trajectories(platform: PlatformParams, duration: float, seed: int):
     """Scripted pseudo-teleop: random dwell-switched candidate controls with
     wall-avoidance steering, stepped through the simulator's kinematics with
-    velocity noise.  Returns a list of (T, 8) trajectory arrays."""
+    its velocity noise.  Returns a list of (T, 8) trajectory arrays of at most
+    CHUNK_SECONDS each."""
     if duration < 60:
         raise ValueError("duration must be at least 60 s")
     rng = np.random.default_rng(seed)
     candidates = candidate_controls(platform.max_speed)
     total_steps = int(round(duration / DT))
-    chunk_steps = int(round(chunk_seconds / DT))
+    chunk_steps = int(round(CHUNK_SECONDS / DT))
     trajectories = []
-    state = np.array([[rng.uniform(2, arena[0] - 2), rng.uniform(2, arena[1] - 2),
+    state = np.array([[rng.uniform(2, ARENA[0] - 2), rng.uniform(2, ARENA[1] - 2),
                        rng.uniform(-math.pi, math.pi), 0.0, 0.0]])
     control = candidates[rng.integers(len(candidates))]
-    residual = None
     dwell_left = 0
     done = 0
     while done < total_steps:
@@ -125,16 +128,15 @@ def generate_robot_trajectories(platform: PlatformParams, duration: float, seed:
                 dwell_left = int(rng.uniform(0.5, 3.0) / DT)
             cmd = control
             x, y, theta = state[0, :3].tolist()
-            if _near_wall_heading_out(x, y, theta, arena):
-                cmd = _steer_inward(x, y, theta, arena, candidates)
+            if _near_wall_heading_out(x, y, theta):
+                cmd = _steer_inward(x, y, theta, candidates)
             rows[i, 0] = (done + i) * DT
             rows[i, 1:6] = state[0]
             rows[i, 6:8] = cmd
-            if noise_sigma > 0:
-                residual = np.zeros((1, 4))
-                residual[0, 2:] = rng.normal(0.0, noise_sigma, 2)
+            residual = np.zeros((1, 4))
+            residual[0, 2:] = rng.normal(0.0, VELOCITY_NOISE, 2)
             state = kinematics_step_batch(state, cmd[None, :], platform.m_v, platform.m_omega,
-                                          platform.max_speed, platform.max_omega, DT, residual)
+                                          platform.max_speed, residual)
             dwell_left -= 1
         rows[:, 0] -= rows[0, 0]  # each trajectory starts at t = 0
         trajectories.append(rows)
@@ -142,8 +144,7 @@ def generate_robot_trajectories(platform: PlatformParams, duration: float, seed:
     return trajectories
 
 
-def generate_pedestrian_tracks(count: int, duration: float, speed_range, seed: int,
-                               arena=(12.0, 12.0)):
+def generate_pedestrian_tracks(count: int, duration: float, speed_range, seed: int):
     """Random-waypoint walks sampled at 0.1 s.  Returns list of (T, 3) arrays."""
     lo, hi = speed_range
     if not (0 < lo <= hi <= 2.5):
@@ -152,14 +153,14 @@ def generate_pedestrian_tracks(count: int, duration: float, speed_range, seed: i
     steps = int(round(duration / DT))
     tracks = []
     for _ in range(count):
-        pos = np.array([rng.uniform(1, arena[0] - 1), rng.uniform(1, arena[1] - 1)])
+        pos = np.array([rng.uniform(1, ARENA[0] - 1), rng.uniform(1, ARENA[1] - 1)])
         rows = np.empty((steps, 3))
         goal = pos
         speed = lo
         for i in range(steps):
             rows[i] = [i * DT, pos[0], pos[1]]
             while np.linalg.norm(goal - pos) < 0.2:
-                goal = np.array([rng.uniform(1, arena[0] - 1), rng.uniform(1, arena[1] - 1)])
+                goal = np.array([rng.uniform(1, ARENA[0] - 1), rng.uniform(1, ARENA[1] - 1)])
                 if np.linalg.norm(goal - pos) >= 2.0:
                     speed = rng.uniform(lo, hi)
             step = goal - pos
@@ -257,8 +258,7 @@ def _rebase(arr: np.ndarray, start: int, length: int) -> np.ndarray:
 
 
 def build_static_dataset(trajectories, cfg: LabelingConfig, seed: int,
-                         clones_per_traj: int = 6, arena=(12.0, 12.0),
-                         max_obstacle_dist: float = 3.0):
+                         clones_per_traj: int = 6):
     """Clone each trajectory with sampled obstacles lying within reach of it.
 
     Obstacles land in a disc around a random trajectory point so that
@@ -271,10 +271,10 @@ def build_static_dataset(trajectories, cfg: LabelingConfig, seed: int,
         for _ in range(clones_per_traj):
             for _ in range(200):
                 anchor = xy[rng.integers(len(xy))]
-                radius = rng.uniform(0.1, max_obstacle_dist)
+                radius = rng.uniform(0.1, MAX_OBSTACLE_DIST)
                 angle = rng.uniform(0.0, 2.0 * math.pi)
                 obs = anchor + radius * np.array([math.cos(angle), math.sin(angle)])
-                if 0 <= obs[0] <= arena[0] and 0 <= obs[1] <= arena[1]:
+                if 0 <= obs[0] <= ARENA[0] and 0 <= obs[1] <= ARENA[1]:
                     break
             parts.append(label_static(traj, obs, cfg))
     return _concat("static", parts)

@@ -22,6 +22,7 @@ from .world import DT, PlatformParams, kinematics_step_batch, wrap_angle
 T, X, Y, TH, V, OM, UV, UW = range(8)
 STATE_COLS = slice(X, OM + 1)
 CONTROL_COLS = slice(UV, UW + 1)
+HOLDOUT_FRAC = 0.2   # share of transitions held out to judge a refinement
 
 
 @dataclass
@@ -40,8 +41,7 @@ def predict_next_batch(model: DynamicsModel, states: np.ndarray, controls: np.nd
     residual = None
     if model.net is not None:
         residual = model.net.forward(np.hstack([states, controls]))
-    return kinematics_step_batch(states, controls, p.m_v, p.m_omega,
-                                 p.max_speed, p.max_omega, DT, residual)
+    return kinematics_step_batch(states, controls, p.m_v, p.m_omega, p.max_speed, residual)
 
 
 def transitions_from_trajectories(trajectories):
@@ -59,17 +59,17 @@ def transitions_from_trajectories(trajectories):
     return np.vstack(S), np.vstack(U), np.vstack(SN)
 
 
-def residual_targets(S, U, SN, params: PlatformParams, dt: float = DT):
+def residual_targets(S, U, SN, params: PlatformParams):
     """Invert the refinement equations to get per-transition targets f1..f4."""
     x, y, th, v, om = S.T
     uv, uw = U.T
     dx = SN[:, 0] - x
     dy = SN[:, 1] - y
-    v_eff = (np.cos(th) * dx + np.sin(th) * dy) / dt
+    v_eff = (np.cos(th) * dx + np.sin(th) * dy) / DT
     f1 = v_eff - v
-    f2 = wrap_angle(SN[:, 2] - th) / dt - om
-    f3 = SN[:, 3] - v - np.clip(uv - v, -params.m_v * dt, params.m_v * dt)
-    f4 = SN[:, 4] - om - np.clip(uw - om, -params.m_omega * dt, params.m_omega * dt)
+    f2 = wrap_angle(SN[:, 2] - th) / DT - om
+    f3 = SN[:, 3] - v - np.clip(uv - v, -params.m_v * DT, params.m_v * DT)
+    f4 = SN[:, 4] - om - np.clip(uw - om, -params.m_omega * DT, params.m_omega * DT)
     targets = np.stack([f1, f2, f3, f4], axis=1)
     return np.clip(targets, -0.999, 0.999)
 
@@ -82,7 +82,7 @@ def next_state_mse(pred: np.ndarray, observed: np.ndarray) -> float:
 
 
 def train_dynamics(trajectories, params: PlatformParams, config: nn.TrainConfig | None = None,
-                   hidden=(64, 64), holdout_frac: float = 0.2):
+                   hidden=(64, 64)):
     """Fit the refinement net; returns (model, held-out MSE, kinematics-baseline MSE).
 
     If the trained net does not beat the baseline on the held-out split, the
@@ -94,7 +94,7 @@ def train_dynamics(trajectories, params: PlatformParams, config: nn.TrainConfig 
         raise ValueError(f"need >= 1000 transitions, got {len(S)}")
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(S))
-    n_hold = max(1, int(len(S) * holdout_frac))
+    n_hold = max(1, int(len(S) * HOLDOUT_FRAC))
     hold, tr = order[:n_hold], order[n_hold:]
 
     inputs = np.hstack([S, U])

@@ -15,6 +15,8 @@ import yaml
 
 ZONES = ("charging", "pickup", "dropoff", "junction", "plain")
 TASK_CHAIN = ("pending", "to_pickup", "to_dropoff", "returning", "done")
+GOAL_TOLERANCE = 0.3    # m; a robot this close to its goal has reached it
+JUNCTION_RADIUS = 1.0   # m; a robot this close to a junction occupies or waits for it
 
 
 @dataclass
@@ -34,6 +36,13 @@ class WarehouseMap:
                 raise ValueError(f"edge ({a}, {b}) references unknown waypoint")
         if len(self.waypoints) > 1 and not self._connected():
             raise ValueError("waypoint graph is not connected")
+
+    @staticmethod
+    def from_dict(raw: dict) -> "WarehouseMap":
+        """The map of a `{waypoints, edges, zones}` dict, as YAML holds it."""
+        return WarehouseMap(waypoints={k: tuple(v) for k, v in raw["waypoints"].items()},
+                            edges=[tuple(e) for e in raw.get("edges", [])],
+                            zones=dict(raw.get("zones", {})))
 
     def _connected(self) -> bool:
         adj = {w: set() for w in self.waypoints}
@@ -59,10 +68,7 @@ class WarehouseMap:
 
 def load_map(path) -> WarehouseMap:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    return WarehouseMap(waypoints={k: tuple(v) for k, v in raw["waypoints"].items()},
-                        edges=[tuple(e) for e in raw.get("edges", [])],
-                        zones=dict(raw.get("zones", {})))
+        return WarehouseMap.from_dict(yaml.safe_load(fh))
 
 
 def save_map(wmap: WarehouseMap, path):
@@ -122,15 +128,14 @@ def next_goal(robot_id, task: Task, wmap: WarehouseMap, home: str):
     raise ValueError(f"task {task.id} in state {task.state} has no goal")
 
 
-def goal_reached(position, goal, tolerance: float = 0.3) -> bool:
-    return math.dist(tuple(position), tuple(goal)) <= tolerance
+def goal_reached(position, goal) -> bool:
+    return math.dist(tuple(position), tuple(goal)) <= GOAL_TOLERANCE
 
 
 class JunctionRegistry:
     """Mutual exclusion per junction with FIFO hand-over among waiters."""
 
-    def __init__(self, radius: float = 1.0):
-        self.radius = radius
+    def __init__(self):
         self._occupant = {}       # junction id -> robot id
         self._queue = {}          # junction id -> deque of waiting robot ids
 
@@ -154,13 +159,13 @@ class JunctionRegistry:
         """Release occupants that left the junction radius; drop stale waiters."""
         for jid, occ in list(self._occupant.items()):
             if occ not in robot_positions or \
-                    math.dist(robot_positions[occ], junction_positions[jid]) > self.radius:
+                    math.dist(robot_positions[occ], junction_positions[jid]) > JUNCTION_RADIUS:
                 del self._occupant[jid]
         for jid, queue in self._queue.items():
             self._queue[jid] = deque(
                 r for r in queue
                 if r in robot_positions
-                and math.dist(robot_positions[r], junction_positions[jid]) <= self.radius)
+                and math.dist(robot_positions[r], junction_positions[jid]) <= JUNCTION_RADIUS)
 
     def occupant(self, junction_id):
         return self._occupant.get(junction_id)
@@ -171,13 +176,11 @@ class Orchestrator:
     gates junctions.  Holding a robot reuses its own position as the goal with
     desired speed zero so the local safety layer stays active."""
 
-    def __init__(self, wmap: WarehouseMap, tasks, homes: dict, tolerance: float = 0.3,
-                 junction_radius: float = 1.0):
+    def __init__(self, wmap: WarehouseMap, tasks, homes: dict):
         self.map = wmap
         self.tasks = list(tasks)
         self.homes = dict(homes)          # robot id -> charging waypoint id
-        self.tolerance = tolerance
-        self.registry = JunctionRegistry(junction_radius)
+        self.registry = JunctionRegistry()
         self.active = {}                  # robot id -> Task
         self.events = []                  # (time, text) lines
 
@@ -200,7 +203,7 @@ class Orchestrator:
         # task-state advance on goal arrival
         for rid, task in list(self.active.items()):
             goal = next_goal(rid, task, self.map, self.homes[rid])
-            if goal is not None and goal_reached(robot_positions[rid], goal, self.tolerance):
+            if goal is not None and goal_reached(robot_positions[rid], goal):
                 task.advance()
                 self.events.append((time, f"task {task.id} {rid} -> {task.state}"))
                 if task.state == "done":
@@ -212,7 +215,7 @@ class Orchestrator:
         held = set()
         for jid, jpos in sorted(junctions.items()):
             for rid in sorted(robot_positions):
-                if math.dist(robot_positions[rid], jpos) <= self.registry.radius:
+                if math.dist(robot_positions[rid], jpos) <= JUNCTION_RADIUS:
                     if self.registry.request(rid, jid) == "hold":
                         held.add(rid)
                         self.events.append((time, f"junction {jid} holds {rid}"))

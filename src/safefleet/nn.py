@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ACTIVATIONS = ("identity", "tanh", "sigmoid")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -136,8 +137,8 @@ def _out_act(Z, kind):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params, lr=1e-3):
+        self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -145,13 +146,13 @@ class Adam:
     def step(self, params, grads):
         self.t += 1
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1 ** self.t)
-            vhat = v / (1 - self.b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            mhat = m / (1 - ADAM_BETA1 ** self.t)
+            vhat = v / (1 - ADAM_BETA2 ** self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def mse_loss(pred, target):

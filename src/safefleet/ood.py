@@ -17,6 +17,9 @@ import numpy as np
 
 from . import nn
 
+INFLATION = 1.5        # negatives fill the data's bounding box scaled by this
+POSITIVE_WEIGHT = 2.0  # loss weight of a data point; one uniform negative per data point
+
 
 @dataclass
 class RejectionModel:
@@ -28,8 +31,8 @@ class RejectionModel:
             raise ValueError("rejection threshold must lie in (0, 0.5)")
 
 
-def inflated_bounds(features: np.ndarray, factor: float = 1.5):
-    """Per-dim (lo, hi) of the data bounding box scaled by `factor` about its center."""
+def inflated_bounds(features: np.ndarray):
+    """Per-dim (lo, hi) of the data bounding box scaled by INFLATION about its center."""
     lo = features.min(axis=0)
     hi = features.max(axis=0)
     width = hi - lo
@@ -37,13 +40,12 @@ def inflated_bounds(features: np.ndarray, factor: float = 1.5):
         bad = np.where(width <= 0)[0]
         raise ValueError(f"degenerate (zero-width) feature dims: {bad.tolist()}")
     center = (lo + hi) / 2.0
-    half = width * factor / 2.0
+    half = width * INFLATION / 2.0
     return center - half, center + half
 
 
 def train_ood(features: np.ndarray, c: float, hidden=(32, 32), seed: int = 0,
-              config: nn.TrainConfig | None = None, negatives_per_positive: float = 1.0,
-              positive_weight: float = 2.0) -> RejectionModel:
+              config: nn.TrainConfig | None = None) -> RejectionModel:
     """Fit the two-score discriminator on labeled-data features."""
     features = np.asarray(features, dtype=float)
     if len(features) < 500:
@@ -51,12 +53,12 @@ def train_ood(features: np.ndarray, c: float, hidden=(32, 32), seed: int = 0,
     config = config or nn.TrainConfig(lr=2e-3, batch_size=128, epochs=40, seed=seed)
     rng = np.random.default_rng(seed)
     lo, hi = inflated_bounds(features)
-    n_neg = int(len(features) * negatives_per_positive)
+    n_neg = len(features)
     negatives = rng.uniform(lo, hi, size=(n_neg, features.shape[1]))
 
     X = np.vstack([features, negatives])
     Y = np.vstack([np.ones((len(features), 2)), np.zeros((n_neg, 2))])
-    W = np.vstack([np.full((len(features), 2), positive_weight), np.ones((n_neg, 2))])
+    W = np.vstack([np.full((len(features), 2), POSITIVE_WEIGHT), np.ones((n_neg, 2))])
 
     net = nn.Mlp([features.shape[1], *hidden, 2], out_activation="sigmoid", seed=seed)
     mu, sd = X.mean(axis=0), X.std(axis=0)

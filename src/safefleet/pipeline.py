@@ -9,6 +9,7 @@ come from `world.make_platform`.
 """
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 from dataclasses import dataclass
@@ -21,8 +22,9 @@ from .barrier import BarrierModel, CbfTrainConfig, train_cbf
 from .dynamics import DynamicsModel, train_dynamics
 from .ood import RejectionModel, train_ood
 from .scenarios import ModelBundle
-from .world import DT, candidate_controls, make_platform
+from .world import candidate_controls, make_platform
 
+DATA_MAX_SPEED = 1.5   # m/s; higher-speed data covers the lower settings
 TASK_HIDDEN = {"static": (32, 32), "dynamic": (128, 128), "multirobot": (128, 128)}
 TASK_REJECTION_HIDDEN = {"static": (32, 32), "dynamic": (128, 128), "multirobot": (128, 128)}
 TASK_REJECTION_C = {"static": 0.25, "dynamic": 0.1, "multirobot": 0.1}
@@ -31,14 +33,11 @@ TASK_REJECTION_C = {"static": 0.25, "dynamic": 0.1, "multirobot": 0.1}
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    data_max_speed: float = 1.5        # higher-speed data covers the lower settings
     robot_data_seconds: float = 600.0
     ped_data_seconds: float = 1800.0
     dynamics_epochs: int = 30
     ood_epochs: int = 40
     cbf_epochs: int = 60
-    cbf_lr: float = 1e-3
-    cbf_margin: float = 0.1
     max_safe: int = 8000               # per-task training-set caps
     max_unsafe: int = 8000
     max_unlabeled: int = 3000
@@ -73,7 +72,7 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
     say("generating robot trajectories")
     trajectories = {}
     for i, name in enumerate(["freight", "jackal", "megarover"]):
-        platform = make_platform(name, cfg.data_max_speed)
+        platform = make_platform(name, DATA_MAX_SPEED)
         trajectories[name] = data.generate_robot_trajectories(
             platform, cfg.robot_data_seconds, seed=cfg.seed + 11 * (i + 1))
     say("generating pedestrian tracks")
@@ -85,7 +84,7 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
     dyn_report = {}
     for name, trajs in trajectories.items():
         say(f"training dynamics model for {name}")
-        platform = make_platform(name, cfg.data_max_speed)
+        platform = make_platform(name, DATA_MAX_SPEED)
         config = nn.TrainConfig(lr=1e-3, batch_size=256, epochs=cfg.dynamics_epochs,
                                 seed=cfg.seed)
         models[name], mse, baseline = train_dynamics(trajs, platform, config)
@@ -95,7 +94,7 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
 
     # 3. labeled sets, rejection models, barriers (freight data drives all tasks)
     base_trajs = trajectories["freight"]
-    candidates = candidate_controls(cfg.data_max_speed)
+    candidates = candidate_controls(DATA_MAX_SPEED)
     barriers, rejections = {}, {}
     task_report = {}
     for task in data.TASKS:
@@ -122,10 +121,8 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
                                               epochs=cfg.ood_epochs, seed=cfg.seed + 301))
         rejections[task] = rej
         say(f"training {task} barrier")
-        cbf_cfg = CbfTrainConfig(gamma=1.0, candidates=candidates, dt=DT,
-                                 epochs=cfg.cbf_epochs, lr=cfg.cbf_lr,
-                                 seed=cfg.seed + 401, hidden=TASK_HIDDEN[task],
-                                 margin=cfg.cbf_margin)
+        cbf_cfg = CbfTrainConfig(candidates=candidates, epochs=cfg.cbf_epochs,
+                                 seed=cfg.seed + 401, hidden=TASK_HIDDEN[task])
         barrier, brep = train_cbf(task, contexts, labels, models["freight"], rej, cbf_cfg)
         barriers[task] = barrier
         task_report[task] = {
@@ -154,6 +151,8 @@ def _sha256(path):
 
 
 def save_bundle(bundle: ModelBundle, out_dir, report=None):
+    """Write the bundle's model files and manifest into `out_dir`; model files
+    of an earlier bundle there that the new manifest does not list are removed."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"format": "safefleet-bundle-v1", "models": {}, "rejection_c": {}}
     for name, dyn in bundle.dynamics.items():
@@ -171,6 +170,10 @@ def save_bundle(bundle: ModelBundle, out_dir, report=None):
         manifest["rejection_c"][task] = rej.c
     for fname in manifest["models"]:
         manifest["models"][fname] = _sha256(os.path.join(out_dir, fname))
+    for kind in ("dynamics", "barrier", "rejection"):
+        for path in glob.glob(os.path.join(glob.escape(str(out_dir)), f"{kind}_*.mlp")):
+            if os.path.basename(path) not in manifest["models"]:
+                os.remove(path)
     if report is not None:
         manifest["training_report"] = report
     with open(os.path.join(out_dir, "manifest.yaml"), "w") as fh:
@@ -193,7 +196,7 @@ def load_bundle(bundle_dir) -> ModelBundle:
         if kind == "dynamics":
             # trained at the data speed; `ModelBundle.dynamics_for` pairs the
             # net with each robot's own platform limits
-            dynamics[tag] = DynamicsModel(make_platform(tag, PipelineConfig.data_max_speed), net)
+            dynamics[tag] = DynamicsModel(make_platform(tag, DATA_MAX_SPEED), net)
         elif kind == "barrier":
             barriers[tag] = BarrierModel(net=net, task=tag)
         elif kind == "rejection":

@@ -10,21 +10,20 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields, asdict, replace
+from dataclasses import MISSING, dataclass, field, fields, asdict
 
 import numpy as np
 import yaml
 
 from .controller import AgentTrack, ControllerConfig, select_control
 from .dynamics import DynamicsModel
-from .fleet import Orchestrator, Task, WarehouseMap
-from .world import (DT, PedestrianTrack, PedestrianWalker, PlatformParams, RobotState,
-                    candidate_controls, make_platform, make_world, platform_base,
+from .fleet import GOAL_TOLERANCE, Orchestrator, Task, WarehouseMap
+from .world import (DT, VELOCITY_NOISE, PedestrianTrack, PedestrianWalker, PlatformParams,
+                    RobotState, candidate_controls, make_platform, make_world, platform_base,
                     step_world)
 
 STATIONARY_DISPLACEMENT = 0.005   # m per tick; slower ticks do not count as moving
 COLLISION_DISTANCE = 0.5          # m; separation below this counts as a collision tick
-GOAL_TOLERANCE = 0.3
 
 
 @dataclass
@@ -41,8 +40,6 @@ class ScenarioConfig:
     repetitions: int = 1
     seed: int = 0
     time_budget: float = 120.0
-    noise_sigma: float = 0.01
-    horizon: int = 15
     delay_override: float | None = None
     compensate_delay: bool = True
     obstacle_jitter: float = 0.0
@@ -99,7 +96,6 @@ class Metrics:
     mean_velocity: float
     min_distance: float
     path_length: float
-    success: bool
     collision_count: int
 
 
@@ -155,19 +151,15 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
     pedestrians = {f"p{i}": _build_walker(spec, rng)
                    for i, spec in enumerate(cfg.pedestrians)}
     world = make_world(robots, pedestrians, obstacles,
-                       noise_sigma=cfg.noise_sigma, seed=seed + 7919)
+                       noise_sigma=VELOCITY_NOISE, seed=seed + 7919)
 
     orchestrator = None
     if cfg.mode == "pick_and_place":
-        wmap = WarehouseMap(waypoints={k: tuple(v) for k, v in cfg.map["waypoints"].items()},
-                            edges=[tuple(e) for e in cfg.map.get("edges", [])],
-                            zones=dict(cfg.map.get("zones", {})))
         tasks = [Task(t["id"], t["pickup"], t["dropoff"]) for t in cfg.tasks]
-        orchestrator = Orchestrator(wmap, tasks, cfg.homes, tolerance=GOAL_TOLERANCE)
+        orchestrator = Orchestrator(WarehouseMap.from_dict(cfg.map), tasks, cfg.homes)
 
     candidates = candidate_controls(cfg.max_speed)
-    ctrl_cfgs = {rid: ControllerConfig(candidates=candidates, horizon=cfg.horizon,
-                                       desired_speed=cfg.max_speed)
+    ctrl_cfgs = {rid: ControllerConfig(candidates=candidates, desired_speed=cfg.max_speed)
                  for rid in robots}
 
     histories = {}
@@ -228,7 +220,7 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
     else:
         success = orchestrator.all_done()
 
-    metrics = {rid: replace(compute_metrics(log, rid), success=success) for rid in robots}
+    metrics = {rid: compute_metrics(log, rid) for rid in robots}
     events = orchestrator.events if orchestrator is not None else []
     return RepResult(seed=seed, log=log, metrics=metrics, success=success, events=events)
 
@@ -238,9 +230,8 @@ def _surrounding_tracks(world, histories, rid):
     for oid in sorted(world.robots):
         if oid == rid:
             continue
-        agent = world.robots[oid]
         tracks.append(AgentTrack(id=oid, positions=np.stack(histories[oid]),
-                                 kind=agent.params.name, state=agent.state))
+                                 state=world.robots[oid].state))
     for pid in sorted(world.pedestrians):
         tracks.append(AgentTrack(id=pid, positions=np.stack(histories[pid])))
     for i, obs in enumerate(world.obstacles):
@@ -287,8 +278,7 @@ def compute_metrics(log, robot_id) -> Metrics:
     steps = np.linalg.norm(np.diff(xy, axis=0), axis=1)
     moving = steps >= STATIONARY_DISPLACEMENT
     path = float(steps[moving].sum())   # sub-threshold jitter is not travel
-    dt = DT
-    moving_time = float(moving.sum()) * dt
+    moving_time = float(moving.sum()) * DT
     mean_v = path / moving_time if moving_time > 0 else 0.0
 
     min_dist = math.inf
@@ -303,7 +293,7 @@ def compute_metrics(log, robot_id) -> Metrics:
         if d < COLLISION_DISTANCE:
             collisions += 1
     return Metrics(mean_velocity=mean_v, min_distance=min_dist, path_length=path,
-                   success=True, collision_count=collisions)
+                   collision_count=collisions)
 
 
 def serialize_log(log) -> str:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DT = 0.1  # global tick, seconds
+MAX_OMEGA = 1.5        # angular speed cap of every platform, rad/s
+VELOCITY_NOISE = 0.01  # std of the simulated robots' per-tick velocity noise
 
 # Discrete control candidates per max-speed setting.  The full candidate set
 # is the Cartesian product of the linear and angular rows (15 / 28 / 35).
@@ -82,14 +84,13 @@ class PlatformParams:
     m_omega: float      # max angular acceleration, rad/s^2
     delay_h: float      # control delay, seconds (integer multiple of DT)
     max_speed: float    # commanded linear speed cap, m/s
-    max_omega: float = 1.5
 
     def __post_init__(self):
         if self.m_v <= 0 or self.m_omega <= 0:
             raise ValueError("acceleration limits must be positive")
         k = self.delay_h / DT
         if abs(k - round(k)) > 1e-9:
-            raise ValueError("delay_h must be an integer multiple of dt")
+            raise ValueError("delay_h must be an integer multiple of DT")
 
     @property
     def delay_steps(self) -> int:
@@ -119,14 +120,13 @@ def make_platform(name: str, max_speed: float, delay_h: float | None = None) -> 
     return PlatformParams(name=name, max_speed=max_speed, **spec)
 
 
-def kinematics_step_batch(states: np.ndarray, controls: np.ndarray,
-                          m_v, m_omega, max_speed, max_omega,
-                          dt: float = DT, residual: np.ndarray | None = None) -> np.ndarray:
+def kinematics_step_batch(states: np.ndarray, controls: np.ndarray, m_v, m_omega, max_speed,
+                          residual: np.ndarray | None = None) -> np.ndarray:
     """Differential-drive step on (N, 5) states under (N, 2) target-velocity controls.
 
     This is the one motion model: the simulator, the data generator and the
     dynamics model all step through it.  Velocity change per step is
-    clamped symmetrically to +-accel*dt; speeds are clamped to the platform
+    clamped symmetrically to +-accel*DT; speeds are clamped to the platform
     caps afterwards.  The limits are scalars or per-row arrays.  The optional
     (N, 4) residual adds to the effective v and omega of the pose update and
     to the two velocity updates before the caps (simulator noise, learned
@@ -135,7 +135,7 @@ def kinematics_step_batch(states: np.ndarray, controls: np.ndarray,
     x, y, th, v, om = states.T
     uv, uw = controls.T
     v_eff, om_eff = v, om
-    dv_max, dw_max = m_v * dt, m_omega * dt
+    dv_max, dw_max = m_v * DT, m_omega * DT
     # np.minimum/np.maximum give np.clip's bits at about half its per-call cost
     v_new = v + np.minimum(np.maximum(uv - v, -dv_max), dv_max)
     om_new = om + np.minimum(np.maximum(uw - om, -dw_max), dw_max)
@@ -145,21 +145,21 @@ def kinematics_step_batch(states: np.ndarray, controls: np.ndarray,
         v_new = v_new + residual[:, 2]
         om_new = om_new + residual[:, 3]
     nxt = np.empty_like(states, dtype=float)
-    nxt[:, 0] = x + np.cos(th) * v_eff * dt
-    nxt[:, 1] = y + np.sin(th) * v_eff * dt
-    nxt[:, 2] = wrap_angle(th + om_eff * dt)
+    nxt[:, 0] = x + np.cos(th) * v_eff * DT
+    nxt[:, 1] = y + np.sin(th) * v_eff * DT
+    nxt[:, 2] = wrap_angle(th + om_eff * DT)
     nxt[:, 3] = np.minimum(np.maximum(v_new, -max_speed), max_speed)
-    nxt[:, 4] = np.minimum(np.maximum(om_new, -max_omega), max_omega)
+    nxt[:, 4] = np.minimum(np.maximum(om_new, -MAX_OMEGA), MAX_OMEGA)
     return nxt
 
 
-def coast_step_batch(states: np.ndarray, dt: float = DT) -> np.ndarray:
+def coast_step_batch(states: np.ndarray) -> np.ndarray:
     """Advance (N, 5) states holding v and omega constant (uncontrolled agent)."""
     x, y, th, v, om = states.T
     nxt = states.copy()
-    nxt[:, 0] = x + np.cos(th) * v * dt
-    nxt[:, 1] = y + np.sin(th) * v * dt
-    nxt[:, 2] = wrap_angle(th + om * dt)
+    nxt[:, 0] = x + np.cos(th) * v * DT
+    nxt[:, 1] = y + np.sin(th) * v * DT
+    nxt[:, 2] = wrap_angle(th + om * DT)
     return nxt
 
 
@@ -196,9 +196,10 @@ class PedestrianWalker:
         length = float(np.linalg.norm(b - a))
         return a + (b - a) * (self.progress / length)
 
-    def advanced(self, dt: float = DT) -> "PedestrianWalker":
+    def advanced(self) -> "PedestrianWalker":
+        """The walker one tick later."""
         seg, prog, fwd = self.segment, self.progress, self.forward
-        remaining = self.track.speeds[seg] * dt
+        remaining = self.track.speeds[seg] * DT
         while remaining > 0:
             a = self.track.waypoints[seg]
             b = self.track.waypoints[seg + 1]
@@ -236,7 +237,6 @@ class WorldState:
     robots: dict              # id -> RobotAgent
     pedestrians: dict         # id -> PedestrianWalker
     obstacles: list           # [(x, y), ...]
-    dt: float = DT
     noise_sigma: float = 0.0
     rng: np.random.Generator = None
 
@@ -249,10 +249,8 @@ class WorldState:
 
 def make_world(robots: dict, pedestrians: dict | None = None,
                obstacles: list | None = None, noise_sigma: float = 0.0,
-               seed: int = 0, dt: float = DT) -> WorldState:
+               seed: int = 0) -> WorldState:
     """robots: id -> (RobotState, PlatformParams).  Delay queues start with stop controls."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     agents = {}
     for rid, (state, params) in robots.items():
         if not np.all(np.isfinite(state.as_array())):
@@ -260,7 +258,7 @@ def make_world(robots: dict, pedestrians: dict | None = None,
         queue = tuple(Control(0.0, 0.0) for _ in range(params.delay_steps))
         agents[rid] = RobotAgent(state, params, queue)
     return WorldState(time=0.0, robots=agents, pedestrians=dict(pedestrians or {}),
-                      obstacles=list(obstacles or []), dt=dt, noise_sigma=noise_sigma,
+                      obstacles=list(obstacles or []), noise_sigma=noise_sigma,
                       rng=np.random.default_rng(seed))
 
 
@@ -285,8 +283,8 @@ def step_world(world: WorldState, commands: dict) -> WorldState:
         queues.append(queue[1:])
     robots = {}
     if ids:
-        limits = np.array([(a.params.m_v, a.params.m_omega, a.params.max_speed,
-                            a.params.max_omega) for a in agents], dtype=float)
+        limits = np.array([(a.params.m_v, a.params.m_omega, a.params.max_speed)
+                           for a in agents], dtype=float)
         residual = None
         if world.noise_sigma > 0:
             residual = np.zeros((len(ids), 4))
@@ -294,10 +292,9 @@ def step_world(world: WorldState, commands: dict) -> WorldState:
         states = kinematics_step_batch(
             np.array([[a.state.x, a.state.y, a.state.theta, a.state.v, a.state.omega]
                       for a in agents], dtype=float),
-            np.array(applied, dtype=float), *limits.T, world.dt, residual)
+            np.array(applied, dtype=float), *limits.T, residual)
         for rid, agent, queue, row in zip(ids, agents, queues, states.tolist()):
             robots[rid] = RobotAgent(RobotState(*row), agent.params, queue)
-    peds = {pid: w.advanced(world.dt) for pid, w in world.pedestrians.items()}
-    return WorldState(time=world.time + world.dt, robots=robots, pedestrians=peds,
-                      obstacles=world.obstacles, dt=world.dt,
-                      noise_sigma=world.noise_sigma, rng=world.rng)
+    peds = {pid: w.advanced() for pid, w in world.pedestrians.items()}
+    return WorldState(time=world.time + DT, robots=robots, pedestrians=peds,
+                      obstacles=world.obstacles, noise_sigma=world.noise_sigma, rng=world.rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from safefleet import nn
-from safefleet.barrier import (BarrierModel, CbfTrainConfig, advance_contexts,
+from safefleet.barrier import (LR, MARGIN, BarrierModel, CbfTrainConfig, advance_contexts,
                                annotate_unlabeled, best_safe_control, cbf_loss,
                                discrete_lie_derivative, successor_features,
                                _batch_step, _gate_of, _gated_argmax)
@@ -237,25 +237,19 @@ class TestCbfLoss:
         rej = accept_all_rejection(5)
         cfg = CbfTrainConfig(candidates=CANDS)
         want = cbf_loss(barrier, safe_feats, safe_ctx, unsafe_feats, FREIGHT_DYN, rej, cfg,
-                        margin=cfg.margin)
+                        margin=MARGIN)
         succ = successor_features("static", safe_ctx, CANDS, FREIGHT_DYN)
         params = net.parameters()
-        got = _batch_step(net, nn.Adam(params, lr=cfg.lr), params, safe_feats, succ,
-                          _gate_of(rej, succ), unsafe_feats, cfg)
+        got = _batch_step(net, nn.Adam(params, lr=LR), params, safe_feats, succ,
+                          _gate_of(rej, succ), unsafe_feats)
         assert want > 0.05   # all three hinges are active on this batch
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestConfig:
-    def test_gamma_dt_contraction_required(self):
-        with pytest.raises(ValueError):
-            CbfTrainConfig(gamma=10.0, candidates=CANDS, dt=0.1)
-        with pytest.raises(ValueError):
-            CbfTrainConfig(gamma=0.0, candidates=CANDS)
+    def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             CbfTrainConfig(candidates=np.empty((0, 2)))
-        with pytest.raises(ValueError):
-            CbfTrainConfig(candidates=CANDS, margin=-0.1)
 
 
 class TestTrainedBarriers(object):

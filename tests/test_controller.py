@@ -3,12 +3,13 @@ import pytest
 
 from safefleet import nn
 from safefleet.barrier import BarrierModel
-from safefleet.controller import (AgentTrack, ControllerConfig, MissingBarrierError,
-                                  classify_agent, filter_candidates, goal_score, recovery_control,
-                                  plan_start_state, select_control)
+from safefleet.controller import (HORIZON, INTERACTION_RADIUS, AgentTrack, ControllerConfig,
+                                  MissingBarrierError, classify_agent, filter_candidates,
+                                  goal_score, recovery_control, plan_start_state,
+                                  select_control)
 from safefleet.data import features_from_context
 from safefleet.dynamics import DynamicsModel, predict_next_batch
-from safefleet.world import (Control, RobotAgent, RobotState, candidate_controls,
+from safefleet.world import (DT, Control, RobotAgent, RobotState, candidate_controls,
                              coast_step_batch, make_platform, make_world, step_world)
 
 DYN = DynamicsModel(make_platform("freight", 1.0))
@@ -36,15 +37,16 @@ def all_barriers(value):
 class TestClassifyAgent:
     def test_three_identical_positions_static(self):
         track = AgentTrack("o", [(1, 1)] * 3)
-        assert classify_agent(track, _cfg()) == "static"
+        assert classify_agent(track) == "static"
 
     def test_moving_track_pedestrian(self):
         track = AgentTrack("p", [(0, 0), (0.1, 0), (0.2, 0)])  # 1.0 m/s
-        assert classify_agent(track, _cfg()) == "pedestrian"
+        assert classify_agent(track) == "pedestrian"
 
     def test_declared_kind_short_circuits(self):
-        track = AgentTrack("r", [(1, 1)] * 3, kind="jackal")
-        assert classify_agent(track, _cfg()) == "robot:jackal"
+        # a track carrying a full state is a robot, even when it stands still
+        track = AgentTrack("r", [(1, 1)] * 3, state=RobotState(1, 1, 0, 0, 0))
+        assert classify_agent(track) == "robot"
 
     def test_track_needs_three_positions(self):
         with pytest.raises(ValueError):
@@ -139,17 +141,17 @@ def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
     for the last bits of learned barrier values.
     """
     def predicted(track, horizon):
-        kind = classify_agent(track, cfg)
+        kind = classify_agent(track)
         if kind == "static":
             return "static", np.asarray(track.positions[-1], dtype=float)
         if kind == "pedestrian":
-            vel = (track.positions[2] - track.positions[0]) / (2.0 * cfg.dt)
+            vel = (track.positions[2] - track.positions[0]) / (2.0 * DT)
             ks = np.arange(-2, horizon + 1)     # rows start at step -2
-            return "pedestrian", track.positions[2] + ks[:, None] * cfg.dt * vel
+            return "pedestrian", track.positions[2] + ks[:, None] * DT * vel
         states = np.empty((horizon + 1, 5))
         states[0] = track.state.as_array()
         for k in range(horizon):
-            states[k + 1] = coast_step_batch(states[k][None, :], cfg.dt)[0]
+            states[k + 1] = coast_step_batch(states[k][None, :])[0]
         return "robot", states
 
     def position(kind, payload, step):
@@ -169,15 +171,15 @@ def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
     cands = cfg.candidates
     nearby = []
     for track in agents:
-        if np.linalg.norm(track.positions[-1] - start.position) > cfg.interaction_radius:
+        if np.linalg.norm(track.positions[-1] - start.position) > INTERACTION_RADIUS:
             continue
-        kind, payload = predicted(track, cfg.horizon + time_offset_steps)
+        kind, payload = predicted(track, HORIZON + time_offset_steps)
         task = {"static": "static", "pedestrian": "dynamic"}.get(kind, "multirobot")
         nearby.append((task, kind, payload))
     states = np.tile(start.as_array(), (len(cands), 1))
     worst_b = np.full(len(cands), np.inf)
     worst_d = np.full(len(cands), np.inf)
-    for step in range(1, cfg.horizon + 1):
+    for step in range(1, HORIZON + 1):
         states = predict_next_batch(dyn, states, cands)
         for task, kind, payload in nearby:
             ctx = contexts(states, task, payload, step + time_offset_steps)
@@ -192,13 +194,13 @@ _START = RobotState(4.0, 6.0, 0.3, 0.8, 0.1)
 _AGENTS = {
     "static": [AgentTrack("o", [(5.2, 6.4)] * 3)],
     "pedestrian": [AgentTrack("p", [(5.0, 7.6), (5.0, 7.5), (5.0, 7.4)])],
-    "robot": [AgentTrack("r", [(6.1, 5.0), (6.0, 5.0), (5.9, 5.0)], kind="jackal",
+    "robot": [AgentTrack("r", [(6.1, 5.0), (6.0, 5.0), (5.9, 5.0)],
                          state=RobotState(5.9, 5.0, 3.1, 1.0, -0.2))],
 }
 _AGENTS["mixed_with_far"] = (_AGENTS["static"] + _AGENTS["pedestrian"] + _AGENTS["robot"] + [
     AgentTrack("o_far", [(30.0, 6.0)] * 3),
     AgentTrack("p_far", [(4.0, 11.6), (4.0, 11.5), (4.0, 11.4)]),
-    AgentTrack("r_far", [(-3.0, 0.0)] * 3, kind="freight",
+    AgentTrack("r_far", [(-3.0, 0.0)] * 3,
                state=RobotState(-3.0, 0.0, 0.0, 0.0, 0.0))])
 
 
@@ -270,7 +272,7 @@ class TestGoalScore:
         assert fast > slow
 
     def test_arithmetic_example(self):
-        cfg = _cfg(w_v=1.0, w_g=1.0, desired_speed=1.0)
+        cfg = _cfg(desired_speed=1.0)
         assert goal_score(_row(0, 0, 0, 0.5, 0), (2, 0), cfg)[0] == pytest.approx(-2.5)
 
 
@@ -339,7 +341,3 @@ class TestSelectControl:
         goal = (10, np.nan) if bad == "goal" else (10, 6)
         with pytest.raises(ValueError, match="non-finite"):
             select_control(state, queue, [], goal, all_barriers(1.0), DYN, _cfg())
-
-    def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(candidates=CANDS, horizon=0)

@@ -5,8 +5,8 @@ from safefleet import nn
 from safefleet.dynamics import (DynamicsModel, next_state_mse, predict_next_batch,
                                 residual_targets, train_dynamics,
                                 transitions_from_trajectories)
-from safefleet.world import (DT, Control, RobotState, kinematics_step_batch, make_platform,
-                             make_world, step_world, wrap_angle)
+from safefleet.world import (DT, MAX_OMEGA, Control, RobotState, kinematics_step_batch,
+                             make_platform, make_world, step_world, wrap_angle)
 
 FREIGHT = make_platform("freight", 1.0)
 FREIGHT_NO_DELAY = make_platform("freight", 1.0, delay_h=0.0)
@@ -49,8 +49,7 @@ class TestPredictNext:
         for name in ("freight", "jackal", "megarover"):
             for max_speed in (0.5, 1.0, 1.5):
                 p = make_platform(name, max_speed)
-                want = kinematics_step_batch(S, U, p.m_v, p.m_omega, p.max_speed,
-                                             p.max_omega, DT)
+                want = kinematics_step_batch(S, U, p.m_v, p.m_omega, p.max_speed)
                 for model in (DynamicsModel(p), DynamicsModel(p, _zero_net())):
                     np.testing.assert_array_equal(predict_next_batch(model, S, U), want)
 
@@ -93,7 +92,7 @@ class TestResidualInversion:
         SN = predict_next_batch(model, S, U)
         f = net.forward(np.hstack([S, U]))
         clamped = (np.abs(SN[:, 3]) >= FREIGHT.max_speed - 1e-9) | \
-                  (np.abs(SN[:, 4]) >= FREIGHT.max_omega - 1e-9) | \
+                  (np.abs(SN[:, 4]) >= MAX_OMEGA - 1e-9) | \
                   np.any(np.abs(f) > 0.999, axis=1)  # target clip range
         targets = residual_targets(S, U, SN, FREIGHT)
         assert np.sum(~clamped) > 50  # the round trip must actually be exercised

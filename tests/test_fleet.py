@@ -124,7 +124,7 @@ class TestJunctionRegistry:
         assert reg.request("r1", "j0") == "hold"
 
     def test_fifo_release_order(self):
-        reg = JunctionRegistry(radius=1.0)
+        reg = JunctionRegistry()
         jpos = {"j0": (0.0, 0.0)}
         assert reg.request("r0", "j0") == "proceed"
         assert reg.request("r1", "j0") == "hold"

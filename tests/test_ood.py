@@ -59,7 +59,7 @@ class TestRejectionModel:
 class TestInflatedBounds:
     def test_factor_expands_about_center(self):
         X = np.array([[0.0, 2.0], [2.0, 6.0]])
-        lo, hi = inflated_bounds(X, factor=1.5)
+        lo, hi = inflated_bounds(X)   # INFLATION = 1.5
         assert np.allclose(lo, [-0.5, 1.0])
         assert np.allclose(hi, [2.5, 7.0])
 

@@ -11,6 +11,7 @@ import numpy as np
 import yaml
 
 from safefleet import nn, pipeline
+from safefleet.barrier import BarrierModel
 from safefleet.dynamics import DynamicsModel, predict_next_batch, train_dynamics
 from safefleet.scenarios import ModelBundle
 from safefleet.world import DT, kinematics_step_batch, make_platform
@@ -31,8 +32,7 @@ def _trajectories(params, residual, n=1500, seed=0):
     U = rng.uniform(-0.8, 0.8, (n, 2))
     R = np.zeros((n, 4)) + residual
     R[:, 2:] += rng.normal(0.0, 0.01, (n, 2))
-    SN = kinematics_step_batch(S, U, params.m_v, params.m_omega, params.max_speed,
-                               params.max_omega, DT, R)
+    SN = kinematics_step_batch(S, U, params.m_v, params.m_omega, params.max_speed, R)
     out = np.zeros((n, 2, 8))
     out[:, 0, 1:6], out[:, 0, 6:8] = S, U
     out[:, 1, 0], out[:, 1, 1:6] = DT, SN
@@ -121,6 +121,25 @@ def test_bundle_with_zero_nets_predicts_kinematics(tmp_path):
     S = np.column_stack([rng.uniform(0, 12, (500, 2)), rng.uniform(-np.pi, np.pi, 500),
                          rng.uniform(-0.5, 0.5, 500), rng.uniform(-1.5, 1.5, 500)])
     U = rng.uniform(-1.0, 1.0, (500, 2))
-    want = kinematics_step_batch(S, U, p.m_v, p.m_omega, p.max_speed, p.max_omega, DT)
+    want = kinematics_step_batch(S, U, p.m_v, p.m_omega, p.max_speed)
     got = predict_next_batch(pipeline.load_bundle(tmp_path).dynamics_for(p), S, U)
     np.testing.assert_array_equal(got, want)
+
+
+def test_save_bundle_removes_model_files_its_manifest_does_not_list(tmp_path):
+    """Saving over an older bundle leaves exactly the new manifest's model
+    files; files that are not model files stay."""
+    barrier = BarrierModel(net=nn.Mlp([5, 4, 1], seed=1), task="static")
+    net = nn.Mlp([7, 8, 4], out_activation="tanh", seed=0)
+    pipeline.save_bundle(ModelBundle(dynamics={"freight": DynamicsModel(FREIGHT, net)},
+                                     barriers={"static": barrier}), tmp_path)
+    assert (tmp_path / "dynamics_freight.mlp").exists()
+    (tmp_path / "notes.txt").write_text("not a model file")
+
+    manifest = pipeline.save_bundle(ModelBundle(dynamics={}, barriers={"static": barrier}),
+                                    tmp_path)
+    with open(manifest) as fh:
+        listed = set(yaml.safe_load(fh)["models"])
+    assert listed == {"barrier_static.mlp"}
+    assert {p.name for p in tmp_path.iterdir()} == listed | {"manifest.yaml", "notes.txt"}
+    assert pipeline.load_bundle(tmp_path).dynamics == {}

@@ -140,9 +140,14 @@ class TestScenarioConfig:
         assert loaded.to_dict() == cfg.to_dict()
 
     def test_unknown_keys_named(self):
-        raw = {**unit_task_config("static", 1, 1.0).to_dict(), "max_sped": 1.0, "robts": []}
-        with pytest.raises(ValueError, match=r"\['max_sped', 'robts'\]"):
-            ScenarioConfig.from_dict(raw)
+        base = unit_task_config("static", 1, 1.0).to_dict()
+        # horizon and noise_sigma were scenario keys once: a YAML that still
+        # sets them must fail, not run with the constants silently
+        for extra, named in (({"max_sped": 1.0, "robts": []}, r"\['max_sped', 'robts'\]"),
+                             ({"horizon": 10}, r"\['horizon'\]"),
+                             ({"noise_sigma": 0.0}, r"\['noise_sigma'\]")):
+            with pytest.raises(ValueError, match=named):
+                ScenarioConfig.from_dict({**base, **extra})
 
     def test_missing_keys_named(self):
         raw = unit_task_config("static", 1, 1.0).to_dict()

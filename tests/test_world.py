@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safefleet.world import (ANGULAR_CANDIDATES, DT, LINEAR_CANDIDATES, Control,
+from safefleet.world import (ANGULAR_CANDIDATES, DT, LINEAR_CANDIDATES, MAX_OMEGA, Control,
                              PedestrianTrack, PedestrianWalker, PlatformParams,
                              RobotAgent, RobotState, candidate_controls,
                              kinematics_step_batch, make_platform, make_world,
@@ -16,24 +16,24 @@ PLATFORMS = [make_platform("freight", 1.5), make_platform("jackal", 1.0),
              make_platform("megarover", 0.5)]
 
 
-def scalar_step(state, control, params, dt=DT, velocity_noise=(0.0, 0.0)):
+def scalar_step(state, control, params, velocity_noise=(0.0, 0.0)):
     """Reference: the scalar differential-drive tick the simulator used to run."""
-    x = state[0] + math.cos(state[2]) * state[3] * dt
-    y = state[1] + math.sin(state[2]) * state[3] * dt
-    th = float(wrap_angle(state[2] + state[4] * dt))
-    dv = min(max(control[0] - state[3], -params.m_v * dt), params.m_v * dt)
-    dw = min(max(control[1] - state[4], -params.m_omega * dt), params.m_omega * dt)
+    x = state[0] + math.cos(state[2]) * state[3] * DT
+    y = state[1] + math.sin(state[2]) * state[3] * DT
+    th = float(wrap_angle(state[2] + state[4] * DT))
+    dv = min(max(control[0] - state[3], -params.m_v * DT), params.m_v * DT)
+    dw = min(max(control[1] - state[4], -params.m_omega * DT), params.m_omega * DT)
     v = state[3] + dv + velocity_noise[0]
     om = state[4] + dw + velocity_noise[1]
     v = min(max(v, -params.max_speed), params.max_speed)
-    om = min(max(om, -params.max_omega), params.max_omega)
+    om = min(max(om, -MAX_OMEGA), MAX_OMEGA)
     return np.array([x, y, th, v, om])
 
 
 def step(state: RobotState, control: Control, params) -> RobotState:
     """One noiseless row through kinematics_step_batch."""
     out = kinematics_step_batch(state.as_array()[None, :], control.as_array()[None, :],
-                                params.m_v, params.m_omega, params.max_speed, params.max_omega)
+                                params.m_v, params.m_omega, params.max_speed)
     return RobotState.from_array(out[0])
 
 
@@ -75,13 +75,6 @@ class TestKinematics:
         s = step(RobotState(0, 0, 0, 1.0, 0), Control(0.0, 0), MEGAROVER)
         assert s.v == pytest.approx(1.0 - 0.06)
 
-    def test_rejects_nonpositive_dt(self):
-        # the world is where a tick length enters the simulator
-        robots = {"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)}
-        for dt in (0.0, -0.1, float("nan")):
-            with pytest.raises(ValueError, match="dt"):
-                make_world(robots, dt=dt)
-
     @given(v=st.floats(-1.0, 1.0), om=st.floats(-1.5, 1.5),
            uv=st.floats(-1.0, 1.0), uw=st.floats(-1.5, 1.5),
            th=st.floats(-math.pi, math.pi))
@@ -106,13 +99,13 @@ class TestOneStep:
     def test_matches_scalar_reference_row_by_row_and_batched(self, params):
         S, U, W = random_rows(1000, np.random.default_rng(17))
         want = np.stack([scalar_step(s, u, params, velocity_noise=w) for s, u, w in zip(S, U, W)])
-        lims = (params.m_v, params.m_omega, params.max_speed, params.max_omega)
-        rows = np.vstack([kinematics_step_batch(S[i:i + 1], U[i:i + 1], *lims, DT,
+        lims = (params.m_v, params.m_omega, params.max_speed)
+        rows = np.vstack([kinematics_step_batch(S[i:i + 1], U[i:i + 1], *lims,
                                                 noise_residual(W[i:i + 1]))
                           for i in range(len(S))])
         np.testing.assert_array_equal(rows, want)
         np.testing.assert_array_equal(
-            kinematics_step_batch(S, U, *lims, DT, noise_residual(W)), want)
+            kinematics_step_batch(S, U, *lims, noise_residual(W)), want)
 
     def test_per_row_limits_match_scalar_reference(self):
         # the world's call: one row per robot, each with its own platform limits
@@ -121,13 +114,13 @@ class TestOneStep:
         want = np.stack([scalar_step(s, u, p, velocity_noise=w)
                          for s, u, w, p in zip(S, U, W, per_row)])
         lims = [np.array([getattr(p, f) for p in per_row])
-                for f in ("m_v", "m_omega", "max_speed", "max_omega")]
+                for f in ("m_v", "m_omega", "max_speed")]
         np.testing.assert_array_equal(
-            kinematics_step_batch(S, U, *lims, DT, noise_residual(W)), want)
+            kinematics_step_batch(S, U, *lims, noise_residual(W)), want)
 
     def test_no_residual_is_zero_noise(self):
         S, U, _ = random_rows(200, np.random.default_rng(19))
-        lims = (FREIGHT.m_v, FREIGHT.m_omega, FREIGHT.max_speed, FREIGHT.max_omega)
+        lims = (FREIGHT.m_v, FREIGHT.m_omega, FREIGHT.max_speed)
         want = np.stack([scalar_step(s, u, FREIGHT) for s, u in zip(S, U)])
         np.testing.assert_array_equal(kinematics_step_batch(S, U, *lims), want)
 
