@@ -97,18 +97,6 @@ def successor_features(task: str, contexts: np.ndarray, controls: np.ndarray,
     return features_from_context(task, succ.reshape(n * m, d)).reshape(n, m, -1)
 
 
-def discrete_lie_derivative(barrier: BarrierModel, dyn: DynamicsModel,
-                            context: np.ndarray, control) -> float:
-    """(B(x') - B(x)) / DT for a single raw context under one control."""
-    ctx = np.asarray(context, dtype=float)
-    feats_now = features_from_context(barrier.task, ctx[None, :])
-    feats_next = successor_features(barrier.task, ctx[None, :],
-                                    np.asarray(control, dtype=float)[None, :], dyn)[0]
-    b_now = barrier.value(feats_now)[0]
-    b_next = barrier.value(feats_next)[0]
-    return float((b_next - b_now) / DT)
-
-
 def _gated_argmax(b_succ: np.ndarray, gate: np.ndarray) -> np.ndarray:
     """Row-wise argmax of b_succ restricted to gated candidates, ungated fallback.
 
@@ -118,20 +106,6 @@ def _gated_argmax(b_succ: np.ndarray, gate: np.ndarray) -> np.ndarray:
     has_any = gate.any(axis=1)
     choice = np.where(has_any, np.argmax(masked, axis=1), np.argmax(b_succ, axis=1))
     return choice
-
-
-def best_safe_control(barrier: BarrierModel, dyn: DynamicsModel, rej: RejectionModel,
-                      context: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """The control whose successor has the highest barrier value among
-    in-distribution successors; falls back to the unrestricted argmax when the
-    gate rejects every candidate."""
-    candidates = np.asarray(candidates, dtype=float)
-    if len(candidates) == 0:
-        raise ValueError("candidate set must be non-empty")
-    succ = successor_features(barrier.task, np.asarray(context)[None, :], candidates, dyn)
-    b_succ = barrier.value(succ[0])[None, :]
-    j = _gated_argmax(b_succ, _gate_of(rej, succ))[0]
-    return candidates[j]
 
 
 def annotate_unlabeled(succ: np.ndarray, gate: np.ndarray, barrier: BarrierModel):
@@ -147,28 +121,6 @@ def annotate_unlabeled(succ: np.ndarray, gate: np.ndarray, barrier: BarrierModel
     b = barrier.net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
     promoted = ((b >= 0.0) & gate).any(axis=1)
     return promoted, ~promoted
-
-
-def cbf_loss(barrier: BarrierModel, safe_feats, safe_ctx, unsafe_feats,
-             dyn: DynamicsModel, rej: RejectionModel, cfg: CbfTrainConfig,
-             margin: float = 0.0) -> float:
-    """Full-batch value of the training loss (no gradients).
-
-    With margin = 0 this is the plain three-term hinge; training uses
-    MARGIN > 0 on the two sign terms so the zero level set lands between
-    the classes instead of collapsing onto whichever side is denser.
-    """
-    safe_feats = np.atleast_2d(safe_feats)
-    unsafe_feats = np.atleast_2d(unsafe_feats)
-    if len(safe_feats) == 0 or len(unsafe_feats) == 0:
-        raise ValueError("safe and unsafe sets must be non-empty")
-    b_s = barrier.value(safe_feats)
-    b_u = barrier.value(unsafe_feats)
-    succ = successor_features(barrier.task, safe_ctx, cfg.candidates, dyn)
-    n, m, fdim = succ.shape
-    b_succ = barrier.net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
-    b_next = b_succ[np.arange(n), _gated_argmax(b_succ, _gate_of(rej, succ))]
-    return _cbf_objective(b_s, b_u, b_next, margin)[0]
 
 
 def _cbf_objective(b_s, b_u, b_next, margin):

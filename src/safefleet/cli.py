@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -45,10 +46,12 @@ def _cmd_run_scenario(args):
     elif args.task == "static":
         cfg = scenarios.unit_task_config("static", args.robots, args.max_speed,
                                          seed=args.seed, repetitions=args.repetitions)
-    elif args.task in ("dynamic", "multirobot"):
+    elif args.task == "dynamic":
         cfg = scenarios.unit_task_config("dynamic", args.robots, args.max_speed,
                                          n_pedestrians=args.pedestrians or 1,
                                          seed=args.seed, repetitions=args.repetitions)
+    elif args.task == "multirobot":
+        cfg = scenarios.head_to_head_config(args.max_speed, args.seed, args.repetitions)
     else:
         cfg = scenarios.pick_and_place_config(n_pedestrians=args.pedestrians or 0,
                                               max_speed=args.max_speed, seed=args.seed,
@@ -58,18 +61,16 @@ def _cmd_run_scenario(args):
     for k, rep in enumerate(result.reps):
         with open(os.path.join(args.out, f"log_{cfg.name}_rep{k}.csv"), "w") as fh:
             fh.write(scenarios.serialize_log(rep.log))
-    summary = scenarios.summarize(result)
+    summary = yaml.safe_dump(scenarios.summarize(result), sort_keys=False)
     with open(os.path.join(args.out, f"summary_{cfg.name}.yaml"), "w") as fh:
-        yaml.safe_dump({"scenario": cfg.name, "seed": cfg.seed, **summary}, fh)
-    print(yaml.safe_dump({cfg.name: summary}, sort_keys=False))
-    scenarios.emit_report([result], args.out)
-    print(f"logs and report under {args.out}")
+        fh.write(summary)
+    print(summary)
+    print(f"logs and summary under {args.out}")
 
 
 def _cmd_report(args):
-    """Aggregate summary_*.yaml files from run-scenario into one table."""
-    import glob
-
+    """One table.csv from the summary_*.yaml files of run-scenario; the columns
+    are the first summary's keys, in `scenarios.summarize`'s order."""
     paths = sorted(glob.glob(os.path.join(args.results, "summary_*.yaml")))
     if not paths:
         raise SystemExit(f"no summary_*.yaml files under {args.results}")
@@ -77,22 +78,18 @@ def _cmd_report(args):
     for path in paths:
         with open(path) as fh:
             rows.append(yaml.safe_load(fh))
+    cols = list(rows[0])
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(f"{row[c]:.4f}" if isinstance(row[c], float) else str(row[c])
+                              for c in cols))
+    text = "\n".join(lines) + "\n"
     os.makedirs(args.out, exist_ok=True)
-    table = os.path.join(args.out, "report.csv")
-    cols = ["scenario", "seed", "mean_velocity", "mean_velocity_std",
-            "distance", "distance_std", "path_length", "success_rate"]
+    table = os.path.join(args.out, "table.csv")
     with open(table, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(row.get(c)) for c in cols) + "\n")
-    print(open(table).read())
+        fh.write(text)
+    print(text)
     print(f"aggregated {len(rows)} scenario summaries into {table}")
-
-
-def _fmt_cell(v):
-    if isinstance(v, float):
-        return f"{v:.4f}"
-    return str(v)
 
 
 def main(argv=None):
@@ -120,7 +117,9 @@ def main(argv=None):
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="scenario YAML; otherwise built from flags")
     p.add_argument("--task", choices=["static", "dynamic", "multirobot", "pick_and_place"],
-                   default="static")
+                   default="static",
+                   help="multirobot: two robots swap ends head to head (--robots and "
+                        "--pedestrians do not apply)")
     p.add_argument("--robots", type=int, default=1)
     p.add_argument("--pedestrians", type=int, default=None)
     p.add_argument("--max-speed", type=float, default=1.0)

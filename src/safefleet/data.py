@@ -337,9 +337,3 @@ def save_trajectories(path, trajectories):
         for k, traj in enumerate(trajectories):
             for row in np.asarray(traj):
                 fh.write(f"{k} " + " ".join(f"{v:.9g}" for v in row) + "\n")
-
-
-def load_trajectories(path):
-    raw = np.loadtxt(path)
-    raw = np.atleast_2d(raw)
-    return [raw[raw[:, 0] == k][:, 1:] for k in np.unique(raw[:, 0])]

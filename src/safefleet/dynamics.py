@@ -81,14 +81,13 @@ def next_state_mse(pred: np.ndarray, observed: np.ndarray) -> float:
     return float(np.mean(diff ** 2))
 
 
-def train_dynamics(trajectories, params: PlatformParams, config: nn.TrainConfig | None = None,
+def train_dynamics(trajectories, params: PlatformParams, config: nn.TrainConfig,
                    hidden=(64, 64)):
     """Fit the refinement net; returns (model, held-out MSE, kinematics-baseline MSE).
 
     If the trained net does not beat the baseline on the held-out split, the
     returned model has no net, so it is never worse than pure kinematics.
     """
-    config = config or nn.TrainConfig(lr=1e-3, batch_size=256, epochs=30, seed=0)
     S, U, SN = transitions_from_trajectories(trajectories)
     if len(S) < 1000:
         raise ValueError(f"need >= 1000 transitions, got {len(S)}")

@@ -11,8 +11,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import yaml
-
 ZONES = ("charging", "pickup", "dropoff", "junction", "plain")
 TASK_CHAIN = ("pending", "to_pickup", "to_dropoff", "returning", "done")
 GOAL_TOLERANCE = 0.3    # m; a robot this close to its goal has reached it
@@ -39,7 +37,7 @@ class WarehouseMap:
 
     @staticmethod
     def from_dict(raw: dict) -> "WarehouseMap":
-        """The map of a `{waypoints, edges, zones}` dict, as YAML holds it."""
+        """The map of a `{waypoints, edges, zones}` dict, as a scenario config holds it."""
         return WarehouseMap(waypoints={k: tuple(v) for k, v in raw["waypoints"].items()},
                             edges=[tuple(e) for e in raw.get("edges", [])],
                             zones=dict(raw.get("zones", {})))
@@ -64,18 +62,6 @@ class WarehouseMap:
 
     def position(self, wid):
         return self.waypoints[wid]
-
-
-def load_map(path) -> WarehouseMap:
-    with open(path) as fh:
-        return WarehouseMap.from_dict(yaml.safe_load(fh))
-
-
-def save_map(wmap: WarehouseMap, path):
-    with open(path, "w") as fh:
-        yaml.safe_dump({"waypoints": {k: list(v) for k, v in wmap.waypoints.items()},
-                        "edges": [list(e) for e in wmap.edges],
-                        "zones": dict(wmap.zones)}, fh, sort_keys=True)
 
 
 @dataclass
@@ -166,9 +152,6 @@ class JunctionRegistry:
                 r for r in queue
                 if r in robot_positions
                 and math.dist(robot_positions[r], junction_positions[jid]) <= JUNCTION_RADIUS)
-
-    def occupant(self, junction_id):
-        return self._occupant.get(junction_id)
 
 
 class Orchestrator:

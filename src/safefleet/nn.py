@@ -212,39 +212,6 @@ def train(model: Mlp, X, Y, loss_fn, config: TrainConfig, weights=None):
     return model, curve
 
 
-def gradient_check(model: Mlp, x, loss_fn, step=1e-5):
-    """Max relative error between analytic and central-difference parameter gradients.
-
-    loss_fn(y) must return (loss, dLoss/dy), or None when the loss is not
-    differentiable at y (the check is then skipped and None is returned).
-    Near-zero gradient pairs fall back to absolute error.
-    """
-    y, cache = model.forward_cached(x)
-    base = loss_fn(y)
-    if base is None:
-        return None
-    _, dy = base
-    dWs, dbs = model.backward(cache, dy)
-    analytic = dWs + dbs
-    params = model.parameters()
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.ravel()
-        gflat = np.asarray(g).ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = loss_fn(model.forward(x))[0]
-            flat[i] = orig - step
-            lm = loss_fn(model.forward(x))[0]
-            flat[i] = orig
-            numeric = (lp - lm) / (2 * step)
-            denom = max(abs(gflat[i]), abs(numeric))
-            err = abs(gflat[i] - numeric) / denom if denom > 1e-8 else abs(gflat[i] - numeric)
-            worst = max(worst, err)
-    return worst
-
-
 _MAGIC = b"SFMLP1\n"
 
 

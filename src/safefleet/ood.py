@@ -44,14 +44,14 @@ def inflated_bounds(features: np.ndarray):
     return center - half, center + half
 
 
-def train_ood(features: np.ndarray, c: float, hidden=(32, 32), seed: int = 0,
-              config: nn.TrainConfig | None = None) -> RejectionModel:
-    """Fit the two-score discriminator on labeled-data features."""
+def train_ood(features: np.ndarray, c: float, hidden: tuple,
+              config: nn.TrainConfig) -> RejectionModel:
+    """Fit the two-score discriminator on labeled-data features; `config.seed`
+    seeds the negatives, the net's initialization and the training order."""
     features = np.asarray(features, dtype=float)
     if len(features) < 500:
         raise ValueError(f"need >= 500 in-distribution samples, got {len(features)}")
-    config = config or nn.TrainConfig(lr=2e-3, batch_size=128, epochs=40, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     lo, hi = inflated_bounds(features)
     n_neg = len(features)
     negatives = rng.uniform(lo, hi, size=(n_neg, features.shape[1]))
@@ -60,7 +60,8 @@ def train_ood(features: np.ndarray, c: float, hidden=(32, 32), seed: int = 0,
     Y = np.vstack([np.ones((len(features), 2)), np.zeros((n_neg, 2))])
     W = np.vstack([np.full((len(features), 2), POSITIVE_WEIGHT), np.ones((n_neg, 2))])
 
-    net = nn.Mlp([features.shape[1], *hidden, 2], out_activation="sigmoid", seed=seed)
+    net = nn.Mlp([features.shape[1], *hidden, 2], out_activation="sigmoid",
+                 seed=config.seed)
     mu, sd = X.mean(axis=0), X.std(axis=0)
     net.set_input_scaler(mu, np.where(sd > 1e-8, sd, 1.0))
 
@@ -70,10 +71,6 @@ def train_ood(features: np.ndarray, c: float, hidden=(32, 32), seed: int = 0,
 
 
 def is_in_distribution_batch(model: RejectionModel, X: np.ndarray) -> np.ndarray:
+    """Per row of X: score1 > c and score2 > 1 - c, both strict."""
     s = model.net.forward(np.atleast_2d(X))
     return (s[:, 0] > model.c) & (s[:, 1] > 1.0 - model.c)
-
-
-def accepts(score1: float, score2: float, c: float) -> bool:
-    """The literal two-inequality predicate on raw scores."""
-    return score1 > c and score2 > 1.0 - c

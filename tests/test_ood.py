@@ -2,35 +2,47 @@ import numpy as np
 import pytest
 
 from safefleet import nn
-from safefleet.ood import (RejectionModel, accepts, inflated_bounds,
-                           is_in_distribution_batch, train_ood)
+from safefleet.ood import RejectionModel, inflated_bounds, is_in_distribution_batch, train_ood
+
+
+class ScoresAsInput:
+    """Stub net: the (N, 2) rows it is given are its two scores."""
+
+    def forward(self, X):
+        return X
+
+
+def accepted(scores, c):
+    """is_in_distribution_batch's decision on each (score1, score2) row."""
+    model = RejectionModel(net=ScoresAsInput(), c=c)
+    return is_in_distribution_batch(model, np.asarray(scores, dtype=float)).tolist()
 
 
 class TestAcceptPredicate:
     def test_both_thresholds_satisfied(self):
-        assert accepts(0.3, 0.9, c=0.25) is True
+        assert accepted([[0.3, 0.9]], c=0.25) == [True]
 
     def test_first_threshold_fails(self):
-        assert accepts(0.2, 0.9, c=0.25) is False
+        assert accepted([[0.2, 0.9]], c=0.25) == [False]
 
     def test_boundary_is_strict(self):
-        assert accepts(0.05, 0.96, c=0.1) is False  # 0.05 <= 0.1
+        assert accepted([[0.05, 0.96]], c=0.1) == [False]  # 0.05 <= 0.1
 
     def test_decision_flips_exactly_at_thresholds(self):
         # acceptance region is the open upper-right quadrant at (c, 1 - c)
-        assert accepts(0.26, 0.76, 0.25) and not accepts(0.26, 0.74, 0.25)
-        assert not accepts(0.24, 0.76, 0.25)
-        assert not accepts(0.25, 0.76, 0.25)  # boundary excluded
-        assert not accepts(0.26, 0.75, 0.25)
+        rows = [[0.26, 0.76], [0.26, 0.74], [0.24, 0.76],
+                [0.25, 0.76],   # boundary excluded
+                [0.26, 0.75]]
+        assert accepted(rows, 0.25) == [True, False, False, False, False]
 
     def test_acceptance_monotone_in_scores(self):
         # raising either score never turns an accept into a reject
         rng = np.random.default_rng(0)
         for _ in range(200):
             s1, s2, c = rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.01, 0.49)
-            if accepts(s1, s2, c):
-                assert accepts(min(s1 + 0.1, 1.0), s2, c)
-                assert accepts(s1, min(s2 + 0.1, 1.0), c)
+            if accepted([[s1, s2]], c)[0]:
+                assert accepted([[min(s1 + 0.1, 1.0), s2], [s1, min(s2 + 0.1, 1.0)]],
+                                c) == [True, True]
 
 
 class TestRejectionModel:
@@ -43,11 +55,11 @@ class TestRejectionModel:
 
     def test_is_in_distribution_matches_predicate(self):
         net = nn.Mlp([3, 8, 2], out_activation="sigmoid", seed=1)
-        model = RejectionModel(net=net, c=0.25)
+        model = RejectionModel(net=net, c=0.4)
         X = np.random.default_rng(2).normal(size=(50, 3))
-        s = model.net.forward(X)
-        want = [accepts(a, b, 0.25) for a, b in s]
-        assert list(is_in_distribution_batch(model, X)) == want
+        want = accepted(model.net.forward(X), 0.4)
+        assert 0 < sum(want) < len(want)      # both decisions occur
+        assert is_in_distribution_batch(model, X).tolist() == want
 
     def test_dimension_mismatch_rejected(self):
         net = nn.Mlp([3, 4, 2], out_activation="sigmoid", seed=0)
@@ -75,7 +87,7 @@ class TestTrainOod:
     def trained(self):
         rng = np.random.default_rng(7)
         feats = rng.normal(0.0, 1.0, (1500, 4))
-        model = train_ood(feats, c=0.25, hidden=(32, 32), seed=0,
+        model = train_ood(feats, c=0.25, hidden=(32, 32),
                           config=nn.TrainConfig(lr=2e-3, batch_size=128, epochs=30, seed=0))
         heldout = rng.normal(0.0, 1.0, (400, 4))
         return model, heldout
@@ -92,4 +104,5 @@ class TestTrainOod:
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
-            train_ood(np.random.default_rng(0).normal(size=(100, 3)), c=0.1)
+            train_ood(np.random.default_rng(0).normal(size=(100, 3)), c=0.1, hidden=(8,),
+                      config=nn.TrainConfig())

@@ -1,14 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import yaml
 
-from safefleet.scenarios import (REPORT_HEADER, Metrics, RepResult,
-                                 ScenarioConfig, ScenarioResult,
-                                 compute_metrics, emit_report,
-                                 head_to_head_config, load_scenario,
-                                 pick_and_place_config, save_scenario,
-                                 serialize_log, summarize, unit_task_config)
+from safefleet.scenarios import (Metrics, RepResult, ScenarioConfig, ScenarioResult,
+                                 compute_metrics, head_to_head_config, load_scenario,
+                                 pick_and_place_config, serialize_log, summarize,
+                                 unit_task_config)
 from safefleet.world import DT
 
 
@@ -89,9 +89,9 @@ class TestSerializeLog:
         assert serialize_log(log) == serialize_log(list(log))
 
 
-def _fake_result(name="s", seed=0):
-    cfg = unit_task_config("static", 1, 1.0, seed=seed, repetitions=1)
-    cfg = ScenarioConfig(**{**cfg.to_dict(), "name": name})
+def _fake_result(name="s", seed=0, cfg=None):
+    cfg = cfg or unit_task_config("static", 1, 1.0, seed=seed, repetitions=1)
+    cfg = dataclasses.replace(cfg, name=name)
     log = straight_line_log(with_bystander=True)
     metrics = {"r0": compute_metrics(log, "r0")}
     rep = RepResult(seed=seed, log=log, metrics=metrics, success=True)
@@ -100,7 +100,12 @@ def _fake_result(name="s", seed=0):
 
 class TestReports:
     def test_summarize_single_rep(self):
-        s = summarize(_fake_result())
+        s = summarize(_fake_result(seed=4))
+        assert list(s) == ["scenario", "seed", "type", "n_obstacles", "max_speed", "n_robots",
+                           "mean_velocity", "mean_velocity_std", "distance", "distance_std",
+                           "path_length", "success_rate"]
+        assert (s["scenario"], s["seed"], s["type"]) == ("s", 4, "static")
+        assert (s["n_obstacles"], s["max_speed"], s["n_robots"]) == (2, 1.0, 1)
         assert s["mean_velocity"] == pytest.approx(1.0)
         assert s["mean_velocity_std"] == 0.0
         assert s["path_length"] == pytest.approx(5.0)
@@ -116,31 +121,26 @@ class TestReports:
         assert s["mean_velocity"] == pytest.approx(0.75)
         assert s["success_rate"] == pytest.approx(0.5)
 
-    def test_emit_report_header_and_rows(self, tmp_path):
-        result = _fake_result()
-        table = emit_report([result], tmp_path)
-        text = open(table).read()
-        assert text.startswith(REPORT_HEADER)
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[1].split(",")[0] == "static"
-        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
-
-    def test_emit_report_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([], tmp_path)
+    @pytest.mark.parametrize("cfg,kind,n_obstacles", [
+        (unit_task_config("dynamic", 1, 1.0, n_pedestrians=2), "dynamic", 2),
+        (head_to_head_config(), "multirobot", 0),
+        (pick_and_place_config(n_pedestrians=1), "pick_and_place", 1),
+    ], ids=["dynamic", "head_to_head", "pick_and_place"])
+    def test_summarize_scenario_type(self, cfg, kind, n_obstacles):
+        s = summarize(_fake_result(cfg=cfg))
+        assert (s["type"], s["n_obstacles"], s["n_robots"]) == \
+            (kind, n_obstacles, len(cfg.robots))
 
 
 class TestScenarioConfig:
     def test_yaml_round_trip(self, tmp_path):
         cfg = unit_task_config("dynamic", 2, 1.5, seed=3, repetitions=4)
         path = tmp_path / "cfg.yaml"
-        save_scenario(cfg, path)
-        loaded = load_scenario(path)
-        assert loaded.to_dict() == cfg.to_dict()
+        path.write_text(yaml.safe_dump(dataclasses.asdict(cfg)))
+        assert load_scenario(path) == cfg
 
     def test_unknown_keys_named(self):
-        base = unit_task_config("static", 1, 1.0).to_dict()
+        base = dataclasses.asdict(unit_task_config("static", 1, 1.0))
         # horizon and noise_sigma were scenario keys once: a YAML that still
         # sets them must fail, not run with the constants silently
         for extra, named in (({"max_sped": 1.0, "robts": []}, r"\['max_sped', 'robts'\]"),
@@ -150,14 +150,32 @@ class TestScenarioConfig:
                 ScenarioConfig.from_dict({**base, **extra})
 
     def test_missing_keys_named(self):
-        raw = unit_task_config("static", 1, 1.0).to_dict()
+        raw = dataclasses.asdict(unit_task_config("static", 1, 1.0))
         del raw["robots"], raw["max_speed"]
         with pytest.raises(ValueError, match=r"missing scenario keys: \['max_speed', 'robots'\]"):
             ScenarioConfig.from_dict(raw)
 
     def test_unknown_mode_rejected(self):
-        raw = {**unit_task_config("static", 1, 1.0).to_dict(), "mode": "unit_taks"}
+        raw = {**dataclasses.asdict(unit_task_config("static", 1, 1.0)), "mode": "unit_taks"}
         with pytest.raises(ValueError, match="unit_taks"):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("build,spoil,named", [
+        (lambda: unit_task_config("static", 2, 1.0),
+         lambda raw: raw["robots"][1].update(id="r0"), r"duplicate robot id 'r0'"),
+        (lambda: unit_task_config("static", 1, 1.0),
+         lambda raw: raw["robots"][0].pop("platform"), r"robot 'r0' lacks \['platform'\]"),
+        (lambda: unit_task_config("static", 1, 1.0),
+         lambda raw: raw["robots"][0].pop("goal"), r"unit_task robot 'r0' has no goal"),
+        (pick_and_place_config,
+         lambda raw: raw["homes"].pop("r3"), r"pick_and_place robot 'r3' has no home"),
+    ], ids=["duplicate_id", "no_platform", "unit_task_no_goal", "pick_and_place_no_home"])
+    def test_malformed_robots_named(self, build, spoil, named):
+        # each of these used to pass the boundary and fail mid-run, or, for a
+        # duplicate id, run with one robot silently dropped
+        raw = dataclasses.asdict(build())
+        spoil(raw)
+        with pytest.raises(ValueError, match=named):
             ScenarioConfig.from_dict(raw)
 
     def test_invalid_max_speed_rejected(self):

@@ -260,7 +260,7 @@ class TestStepWorld:
         world = make_world({}, pedestrians={"p": PedestrianWalker(track)})
         for _ in range(10):
             world = step_world(world, {})
-        assert world.pedestrian_position("p")[0] == pytest.approx(1.0)
+        assert world.pedestrians["p"].position()[0] == pytest.approx(1.0)
 
     def test_pedestrian_ping_pong(self):
         track = PedestrianTrack(((0.0, 0.0), (1.0, 0.0)), (1.0,))
