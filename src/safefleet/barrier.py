@@ -46,13 +46,13 @@ class BarrierModel:
 
 @dataclass
 class CbfTrainConfig:
-    candidates: np.ndarray = None  # (C, 2) discrete control set
-    epochs: int = 60
-    seed: int = 0
-    hidden: tuple = (32, 32)
+    candidates: np.ndarray         # (C, 2) discrete control set
+    epochs: int
+    seed: int
+    hidden: tuple
 
     def __post_init__(self):
-        if self.candidates is None or len(self.candidates) == 0:
+        if len(self.candidates) == 0:
             raise ValueError("candidate set must be non-empty")
         self.candidates = np.asarray(self.candidates, dtype=float)
 

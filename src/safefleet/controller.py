@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import features_from_context
 from .dynamics import DynamicsModel, predict_next_batch
-from .world import DT, Control, RobotState, coast_step_batch
+from .world import DT, coast_step_batch
 
 HORIZON = 15                   # unroll depth, steps
 STATIC_SPEED_THRESHOLD = 0.05  # m/s; slower agents count as static obstacles
@@ -32,7 +32,7 @@ class MissingBarrierError(RuntimeError):
 class AgentTrack:
     id: str
     positions: np.ndarray                 # (3, 2), oldest first, DT spacing
-    state: RobotState | None = None       # full state, robots only
+    state: np.ndarray | None = None       # (5,) full state, robots only
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
@@ -58,13 +58,12 @@ def classify_agent(track: AgentTrack) -> str:
     return "static" if mean_speed < STATIC_SPEED_THRESHOLD else "pedestrian"
 
 
-def plan_start_state(current: RobotState, queue, dyn: DynamicsModel) -> RobotState:
-    """Roll the current state through the not-yet-executed control queue."""
-    state = current.as_array()[None, :]
-    for ctrl in queue:
-        u = ctrl.as_array() if isinstance(ctrl, Control) else np.asarray(ctrl, dtype=float)
+def plan_start_state(current: np.ndarray, queue: np.ndarray, dyn: DynamicsModel) -> np.ndarray:
+    """Roll the (5,) current state through the (k, 2) not-yet-executed control queue."""
+    state = current[None, :]
+    for u in queue:
         state = predict_next_batch(dyn, state, u[None, :])
-    return RobotState.from_array(state[0])
+    return state[0]
 
 
 def _predicted_agent(track: AgentTrack, steps: np.ndarray):
@@ -81,13 +80,13 @@ def _predicted_agent(track: AgentTrack, steps: np.ndarray):
         windows = track.positions[2] + ks[..., None] * DT * vel
         return "dynamic", windows.reshape(len(steps), 6), windows[:, 2]
     states = np.empty((steps[-1] + 1, 5))
-    states[0] = track.state.as_array()
+    states[0] = track.state
     for k in range(steps[-1]):
         states[k + 1] = coast_step_batch(states[k][None, :])[0]
     return "multirobot", states[steps], states[steps, 0:2]
 
 
-def filter_candidates(start: RobotState, agents, barriers: dict,
+def filter_candidates(start: np.ndarray, agents, barriers: dict,
                       dyn: DynamicsModel, cfg: ControllerConfig,
                       time_offset_steps: int = 0):
     """Unroll every candidate `HORIZON` steps and veto any whose predicted
@@ -111,7 +110,7 @@ def filter_candidates(start: RobotState, agents, barriers: dict,
     cands = cfg.candidates
     n_cand = len(cands)
     traj = np.empty((HORIZON, n_cand, 5))
-    states = np.tile(start.as_array(), (n_cand, 1))
+    states = np.tile(start, (n_cand, 1))
     for k in range(HORIZON):
         states = traj[k] = predict_next_batch(dyn, states, cands)
     flat = traj.reshape(-1, 5)              # row k*C + c: candidate c at step k+1
@@ -119,7 +118,7 @@ def filter_candidates(start: RobotState, agents, barriers: dict,
     worst_b = np.full(n_cand, np.inf)
     worst_d = np.full(n_cand, np.inf)
     for track in agents:
-        if np.linalg.norm(track.positions[-1] - start.position) > INTERACTION_RADIUS:
+        if np.linalg.norm(track.positions[-1] - start[0:2]) > INTERACTION_RADIUS:
             continue
         task, cols, pos = _predicted_agent(track, steps)
         if task not in barriers:
@@ -136,7 +135,7 @@ RECOVERY_CLEARANCE_CAP = 0.7    # the labeled safety distance d
 
 
 def recovery_control(cfg: ControllerConfig, worst_b: np.ndarray,
-                     worst_d: np.ndarray) -> Control:
+                     worst_d: np.ndarray) -> np.ndarray:
     """Least-bad candidate when every candidate is vetoed.
 
     Below the barrier's zero level its magnitudes carry no calibrated
@@ -146,7 +145,7 @@ def recovery_control(cfg: ControllerConfig, worst_b: np.ndarray,
     """
     capped = np.minimum(worst_d, RECOVERY_CLEARANCE_CAP)
     best = np.lexsort((worst_b, capped))[-1]
-    return Control(*cfg.candidates[int(best)])
+    return cfg.candidates[int(best)]
 
 
 def goal_score(terminal: np.ndarray, goal, cfg: ControllerConfig) -> np.ndarray:
@@ -156,10 +155,11 @@ def goal_score(terminal: np.ndarray, goal, cfg: ControllerConfig) -> np.ndarray:
     return -np.abs(terminal[:, 3] - cfg.desired_speed) - dist
 
 
-def select_control(current: RobotState, queue, agents, goal, barriers: dict,
+def select_control(current: np.ndarray, queue: np.ndarray, agents, goal, barriers: dict,
                    dyn: DynamicsModel, cfg: ControllerConfig,
-                   compensate_delay: bool = True) -> Control:
+                   compensate_delay: bool = True) -> np.ndarray:
     """Full pipeline: delay compensation, candidate filtering, goal-score argmax.
+    Returns the (2,) candidate row to command.
 
     When every candidate is vetoed there is no certified-safe option left, so
     the controller degrades to damage limitation via `recovery_control`,
@@ -169,9 +169,7 @@ def select_control(current: RobotState, queue, agents, goal, barriers: dict,
     Raises ValueError when the current state, a queued control or the goal
     is non-finite: such a plan would veto every candidate without saying why.
     """
-    queued = [u.as_array() if isinstance(u, Control) else u for u in queue]
-    for name, value in (("state", current.as_array()), ("queued control", queued),
-                        ("goal", goal)):
+    for name, value in (("state", current), ("queued control", queue), ("goal", goal)):
         if not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"non-finite {name}: {value!r}")
     if compensate_delay:
@@ -184,4 +182,4 @@ def select_control(current: RobotState, queue, agents, goal, barriers: dict,
     if len(survivors) == 0:
         return recovery_control(cfg, worst_b, worst_d)
     best = survivors[int(np.argmax(goal_score(terminal[survivors], goal, cfg)))]
-    return Control(*cfg.candidates[best])
+    return cfg.candidates[best]

@@ -23,10 +23,10 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-3
-    batch_size: int = 64
-    epochs: int = 100
-    seed: int = 0
+    lr: float
+    batch_size: int
+    epochs: int
+    seed: int
 
     def __post_init__(self):
         if self.lr <= 0:

@@ -18,8 +18,7 @@ from .controller import AgentTrack, ControllerConfig, select_control
 from .dynamics import DynamicsModel
 from .fleet import GOAL_TOLERANCE, Orchestrator, Task, WarehouseMap
 from .world import (DT, VELOCITY_NOISE, PedestrianTrack, PedestrianWalker, PlatformParams,
-                    RobotState, candidate_controls, make_platform, make_world, platform_base,
-                    step_world)
+                    candidate_controls, make_platform, make_world, platform_base, step_world)
 
 STATIONARY_DISPLACEMENT = 0.005   # m per tick; slower ticks do not count as moving
 COLLISION_DISTANCE = 0.5          # m; separation below this counts as a collision tick
@@ -60,10 +59,17 @@ class ScenarioConfig:
             if rid in ids:
                 raise ValueError(f"duplicate robot id {rid!r}")
             ids.add(rid)
+            if not _is_point(spec["start"], 3):
+                raise ValueError(f"robot {rid!r} start must be 3 finite numbers: {spec['start']!r}")
             if self.mode == "unit_task" and spec.get("goal") is None:
                 raise ValueError(f"unit_task robot {rid!r} has no goal")
+            if spec.get("goal") is not None and not _is_point(spec["goal"], 2):
+                raise ValueError(f"robot {rid!r} goal must be 2 finite numbers: {spec['goal']!r}")
             if self.mode == "pick_and_place" and rid not in self.homes:
                 raise ValueError(f"pick_and_place robot {rid!r} has no home")
+        for i, obs in enumerate(self.obstacles):
+            if not _is_point(obs, 2):
+                raise ValueError(f"obstacle {i} must be 2 finite numbers: {obs!r}")
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
@@ -75,6 +81,15 @@ class ScenarioConfig:
         if missing:
             raise ValueError(f"missing scenario keys: {sorted(missing)}")
         return ScenarioConfig(**raw)
+
+
+def _is_point(value, n: int) -> bool:
+    """Whether `value` is a sequence of `n` finite numbers."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return a.shape == (n,) and bool(np.all(np.isfinite(a)))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -143,7 +158,7 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
         sx, sy, sth = spec["start"]
         if cfg.start_jitter > 0:
             sy += rng.uniform(-cfg.start_jitter, cfg.start_jitter)
-        robots[rid] = (RobotState(sx, sy, sth, 0.0, 0.0), params)
+        robots[rid] = (np.array([sx, sy, sth, 0.0, 0.0]), params)
         platforms[rid] = params
         if spec.get("goal") is not None:
             goals[rid] = np.asarray(spec["goal"], dtype=float)
@@ -166,9 +181,8 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
     ctrl_cfgs = {rid: ControllerConfig(candidates=candidates, desired_speed=cfg.max_speed)
                  for rid in robots}
 
-    histories = {}
-    for rid, (state, _) in robots.items():
-        histories[rid] = [state.position] * 3
+    ids = world.ids
+    histories = {rid: [row[0:2]] * 3 for rid, row in zip(ids, world.states)}
     for pid, walker in pedestrians.items():
         histories[pid] = [walker.position()] * 3
 
@@ -176,41 +190,38 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
     reached = set()
     steps = int(round(cfg.time_budget / DT))
     for _ in range(steps):
-        positions = {rid: world.robot_state(rid).position for rid in sorted(robots)}
         if orchestrator is not None:
-            directives = orchestrator.step(world.time, positions)
+            directives = orchestrator.step(world.time, dict(zip(ids, world.states[:, 0:2])))
             for rid, (goal, hold) in directives.items():
                 goals[rid] = np.asarray(goal, dtype=float)
                 ctrl_cfgs[rid].desired_speed = 0.0 if (hold or rid not in orchestrator.active) \
                     else cfg.max_speed
 
-        commands = {}
-        for rid in sorted(robots):
-            state = world.robot_state(rid)
+        commands = np.empty((len(ids), 2))
+        for i, rid in enumerate(ids):
+            state = world.states[i]
             cc = ctrl_cfgs[rid]
             if cfg.mode == "unit_task":
                 cc.desired_speed = 0.0 if rid in reached else cfg.max_speed
             # approach slowdown: tracking full speed right at the goal makes a
             # full-speed orbit score better than landing inside the tolerance
-            goal_dist = float(np.linalg.norm(goals[rid] - state.position))
+            goal_dist = float(np.linalg.norm(goals[rid] - state[0:2]))
             cc.desired_speed = min(cc.desired_speed, max(0.3, goal_dist))
-            agents = _surrounding_tracks(world, histories, rid)
-            commands[rid] = select_control(state, world.robots[rid].queue, agents,
-                                           goals[rid], models.barriers,
-                                           models.dynamics_for(platforms[rid]), cc,
-                                           compensate_delay=cfg.compensate_delay)
+            agents = _surrounding_tracks(world, histories, i)
+            commands[i] = select_control(state, world.queues[i], agents, goals[rid],
+                                         models.barriers, models.dynamics_for(platforms[rid]),
+                                         cc, compensate_delay=cfg.compensate_delay)
 
         _log_tick(log, world)
         world = step_world(world, commands)
-        for rid in robots:
-            histories[rid] = histories[rid][1:] + [world.robot_state(rid).position]
+        for rid, row in zip(ids, world.states):
+            histories[rid] = histories[rid][1:] + [row[0:2]]
         for pid in pedestrians:
             histories[pid] = histories[pid][1:] + [world.pedestrians[pid].position()]
 
         if cfg.mode == "unit_task":
-            for rid in robots:
-                if rid not in reached and \
-                        np.linalg.norm(world.robot_state(rid).position - goals[rid]) <= GOAL_TOLERANCE:
+            for rid, row in zip(ids, world.states):
+                if rid not in reached and np.linalg.norm(row[0:2] - goals[rid]) <= GOAL_TOLERANCE:
                     reached.add(rid)
             if len(reached) == len(robots):
                 _log_tick(log, world)
@@ -229,25 +240,25 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
     return RepResult(seed=seed, log=log, metrics=metrics, success=success, events=events)
 
 
-def _surrounding_tracks(world, histories, rid):
+def _surrounding_tracks(world, histories, i):
+    """Tracks of every agent but robot i: the other robots with their states,
+    then pedestrians, then obstacles."""
     tracks = []
-    for oid in sorted(world.robots):
-        if oid == rid:
-            continue
-        tracks.append(AgentTrack(id=oid, positions=np.stack(histories[oid]),
-                                 state=world.robots[oid].state))
+    for j, oid in enumerate(world.ids):
+        if j != i:
+            tracks.append(AgentTrack(id=oid, positions=np.stack(histories[oid]),
+                                     state=world.states[j]))
     for pid in sorted(world.pedestrians):
         tracks.append(AgentTrack(id=pid, positions=np.stack(histories[pid])))
-    for i, obs in enumerate(world.obstacles):
+    for k, obs in enumerate(world.obstacles):
         pos = np.asarray(obs, dtype=float)
-        tracks.append(AgentTrack(id=f"o{i}", positions=np.stack([pos, pos, pos])))
+        tracks.append(AgentTrack(id=f"o{k}", positions=np.stack([pos, pos, pos])))
     return tracks
 
 
 def _log_tick(log, world):
-    for rid in sorted(world.robots):
-        s = world.robots[rid].state
-        log.append((world.time, rid, "robot", s.x, s.y, s.theta, s.v, s.omega))
+    for rid, (x, y, th, v, om) in zip(world.ids, world.states.tolist()):
+        log.append((world.time, rid, "robot", x, y, th, v, om))
     for pid in sorted(world.pedestrians):
         p = world.pedestrians[pid].position()
         log.append((world.time, pid, "pedestrian", float(p[0]), float(p[1]), 0.0, 0.0, 0.0))

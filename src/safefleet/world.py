@@ -49,35 +49,6 @@ def wrap_angle(theta):
 
 
 @dataclass(frozen=True)
-class RobotState:
-    x: float
-    y: float
-    theta: float
-    v: float
-    omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta, self.v, self.omega])
-
-    @staticmethod
-    def from_array(a) -> "RobotState":
-        return RobotState(float(a[0]), float(a[1]), float(a[2]), float(a[3]), float(a[4]))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
-@dataclass(frozen=True)
-class Control:
-    u_v: float
-    u_omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u_v, self.u_omega])
-
-
-@dataclass(frozen=True)
 class PlatformParams:
     name: str
     m_v: float          # max linear acceleration, m/s^2
@@ -224,74 +195,62 @@ class PedestrianWalker:
         return PedestrianWalker(self.track, seg, prog, fwd)
 
 
-@dataclass(frozen=True)
-class RobotAgent:
-    state: RobotState
-    params: PlatformParams
-    queue: tuple              # pending controls, oldest first; len == delay_steps
-
-
 @dataclass
 class WorldState:
     time: float
-    robots: dict              # id -> RobotAgent
+    ids: list                 # sorted robot ids; robot i is row i of the arrays below
+    states: np.ndarray        # (R, 5): x, y, theta, v, omega
+    limits: np.ndarray        # (R, 3): m_v, m_omega, max_speed
+    queues: list              # per robot, (k_i, 2) pending controls, oldest first
     pedestrians: dict         # id -> PedestrianWalker
     obstacles: list           # [(x, y), ...]
-    noise_sigma: float = 0.0
-    rng: np.random.Generator = None
-
-    def robot_state(self, robot_id) -> RobotState:
-        return self.robots[robot_id].state
+    noise_sigma: float
+    rng: np.random.Generator
 
 
 def make_world(robots: dict, pedestrians: dict | None = None,
                obstacles: list | None = None, noise_sigma: float = 0.0,
                seed: int = 0) -> WorldState:
-    """robots: id -> (RobotState, PlatformParams).  Delay queues start with stop controls."""
-    agents = {}
-    for rid, (state, params) in robots.items():
-        if not np.all(np.isfinite(state.as_array())):
-            raise ValueError(f"non-finite initial state for robot {rid!r}: {state}")
-        queue = tuple(Control(0.0, 0.0) for _ in range(params.delay_steps))
-        agents[rid] = RobotAgent(state, params, queue)
-    return WorldState(time=0.0, robots=agents, pedestrians=dict(pedestrians or {}),
-                      obstacles=list(obstacles or []), noise_sigma=noise_sigma,
-                      rng=np.random.default_rng(seed))
+    """robots: id -> ((5,) state, PlatformParams).  Delay queues start with stop controls."""
+    ids = sorted(robots)
+    states = np.array([robots[rid][0] for rid in ids], dtype=float).reshape(len(ids), 5)
+    for rid, row in zip(ids, states):
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"non-finite initial state for robot {rid!r}: {row}")
+    params = [robots[rid][1] for rid in ids]
+    limits = np.array([(p.m_v, p.m_omega, p.max_speed) for p in params],
+                      dtype=float).reshape(len(ids), 3)
+    return WorldState(time=0.0, ids=ids, states=states, limits=limits,
+                      queues=[np.zeros((p.delay_steps, 2)) for p in params],
+                      pedestrians=dict(pedestrians or {}), obstacles=list(obstacles or []),
+                      noise_sigma=noise_sigma, rng=np.random.default_rng(seed))
 
 
-def step_world(world: WorldState, commands: dict) -> WorldState:
-    """Advance one tick: queue new commands, apply each queue's oldest entry.
+def step_world(world: WorldState, commands: np.ndarray) -> WorldState:
+    """Advance one tick: queue each robot's command, apply each queue's oldest entry.
 
-    All robots, in sorted id order, take one `kinematics_step_batch` step;
-    velocity noise is one (R, 2) draw placed in the residual's velocity columns.
+    `commands` is (R, 2), row i for robot `world.ids[i]`.  All robots take one
+    `kinematics_step_batch` step; velocity noise is one (R, 2) draw placed in
+    the residual's velocity columns.  The new world holds new arrays: the old
+    one's, which callers keep views of, are never written.
     """
-    unknown = set(commands) - set(world.robots)
-    if unknown:
-        raise KeyError(f"unknown robot ids: {sorted(unknown)}")
-    ids = sorted(world.robots)
-    agents = [world.robots[rid] for rid in ids]
-    queues, applied = [], []
-    for rid, agent in zip(ids, agents):
-        cmd = commands.get(rid, Control(0.0, 0.0))
-        if not (math.isfinite(cmd.u_v) and math.isfinite(cmd.u_omega)):
-            raise ValueError(f"non-finite command for robot {rid!r}: {cmd}")
-        queue = agent.queue + (cmd,)
-        applied.append((queue[0].u_v, queue[0].u_omega))
-        queues.append(queue[1:])
-    robots = {}
-    if ids:
-        limits = np.array([(a.params.m_v, a.params.m_omega, a.params.max_speed)
-                           for a in agents], dtype=float)
-        residual = None
-        if world.noise_sigma > 0:
-            residual = np.zeros((len(ids), 4))
-            residual[:, 2:] = world.rng.normal(0.0, world.noise_sigma, (len(ids), 2))
-        states = kinematics_step_batch(
-            np.array([[a.state.x, a.state.y, a.state.theta, a.state.v, a.state.omega]
-                      for a in agents], dtype=float),
-            np.array(applied, dtype=float), *limits.T, residual)
-        for rid, agent, queue, row in zip(ids, agents, queues, states.tolist()):
-            robots[rid] = RobotAgent(RobotState(*row), agent.params, queue)
+    n = len(world.ids)
+    commands = np.asarray(commands, dtype=float)
+    if commands.shape != (n, 2):
+        raise ValueError(f"commands must be ({n}, 2), one row per robot in id order; "
+                         f"got {commands.shape}")
+    finite = np.isfinite(commands).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite command for robot {world.ids[i]!r}: {commands[i]}")
+    queues = [np.concatenate([q, cmd[None, :]]) for q, cmd in zip(world.queues, commands)]
+    residual = None
+    if world.noise_sigma > 0:
+        residual = np.zeros((n, 4))
+        residual[:, 2:] = world.rng.normal(0.0, world.noise_sigma, (n, 2))
+    states = kinematics_step_batch(world.states, np.array([q[0] for q in queues]).reshape(n, 2),
+                                   *world.limits.T, residual)
     peds = {pid: w.advanced() for pid, w in world.pedestrians.items()}
-    return WorldState(time=world.time + DT, robots=robots, pedestrians=peds,
+    return WorldState(time=world.time + DT, ids=world.ids, states=states, limits=world.limits,
+                      queues=[q[1:] for q in queues], pedestrians=peds,
                       obstacles=world.obstacles, noise_sigma=world.noise_sigma, rng=world.rng)

@@ -5,9 +5,10 @@ The full training pipeline takes a minute or two, so the bundle is built once
 with the default seed and persisted under tests/.cache/bundle; later sessions
 load it back through the same manifest-verified path users go through.  A
 `fingerprint` file next to the manifest keys the cache on the pipeline config
-and the sources of the modules training runs: when either changes, the bundle
+and the code of the modules training runs: when either changes, the bundle
 is rebuilt instead of testing new training code against old models.
 """
+import ast
 import hashlib
 import os
 import sys
@@ -25,12 +26,28 @@ PIPELINE_SEED = 0
 TRAINING_MODULES = ("world", "nn", "data", "dynamics", "ood", "barrier", "pipeline")
 
 
+def source_key(source: str) -> str:
+    """`ast.dump` of `source` without its module, class and function docstrings.
+
+    Comments, docstrings and formatting do not change the key; every code
+    change does.  The dump follows the running Python's AST classes (3.12
+    added fields), so on another version the key can differ and the bundle is
+    then rebuilt once.
+    """
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            node.body = node.body[1:] or [ast.Pass()]
+    return ast.dump(tree)
+
+
 def bundle_fingerprint():
-    """sha256 of the seed-0 PipelineConfig repr and the training modules' source bytes."""
+    """sha256 of the seed-0 PipelineConfig repr and the training modules' `source_key`s."""
     h = hashlib.sha256(repr(pipeline.PipelineConfig(seed=PIPELINE_SEED)).encode())
     for name in TRAINING_MODULES:
-        with open(sys.modules[f"safefleet.{name}"].__file__, "rb") as fh:
-            h.update(fh.read())
+        with open(sys.modules[f"safefleet.{name}"].__file__) as fh:
+            h.update(source_key(fh.read()).encode())
     return h.hexdigest()
 
 

@@ -229,7 +229,7 @@ class TestCbfLoss:
     def test_empty_sets_rejected(self):
         # the loss needs both classes; training checks for them up front
         ctx = np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0], (2, 1))
-        cfg = CbfTrainConfig(candidates=CANDS)
+        cfg = CbfTrainConfig(candidates=CANDS, epochs=60, seed=0, hidden=(32, 32))
         for labels in (["safe", "safe"], ["unsafe", "unlabeled"]):
             with pytest.raises(ValueError, match="both safe and unsafe"):
                 train_cbf("static", ctx, np.array(labels), FREIGHT_DYN,
@@ -261,7 +261,7 @@ class TestCbfLoss:
 class TestConfig:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            CbfTrainConfig(candidates=np.empty((0, 2)))
+            CbfTrainConfig(candidates=np.empty((0, 2)), epochs=60, seed=0, hidden=(32, 32))
 
 
 class TestTrainedBarriers(object):

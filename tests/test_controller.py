@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,16 @@ from safefleet.controller import (HORIZON, INTERACTION_RADIUS, AgentTrack, Contr
                                   select_control)
 from safefleet.data import features_from_context
 from safefleet.dynamics import DynamicsModel, predict_next_batch
-from safefleet.world import (DT, Control, RobotAgent, RobotState, candidate_controls,
-                             coast_step_batch, make_platform, make_world, step_world)
+from safefleet.world import (DT, candidate_controls, coast_step_batch, make_platform,
+                             make_world, step_world)
 
 DYN = DynamicsModel(make_platform("freight", 1.0))
 CANDS = candidate_controls(1.0)
+NO_QUEUE = np.empty((0, 2))
+
+
+def _state(*row):
+    return np.array(row, dtype=float)
 
 
 def _cfg(**kw):
@@ -45,7 +52,7 @@ class TestClassifyAgent:
 
     def test_declared_kind_short_circuits(self):
         # a track carrying a full state is a robot, even when it stands still
-        track = AgentTrack("r", [(1, 1)] * 3, state=RobotState(1, 1, 0, 0, 0))
+        track = AgentTrack("r", [(1, 1)] * 3, state=_state(1, 1, 0, 0, 0))
         assert classify_agent(track) == "robot"
 
     def test_track_needs_three_positions(self):
@@ -55,64 +62,63 @@ class TestClassifyAgent:
 
 class TestPlanStartState:
     def test_empty_queue_identity(self):
-        s = RobotState(1, 2, 0.3, 0.4, 0.1)
-        assert plan_start_state(s, (), DYN) == s
+        s = _state(1, 2, 0.3, 0.4, 0.1)
+        np.testing.assert_array_equal(plan_start_state(s, NO_QUEUE, DYN), s)
 
     def test_one_step_queue(self):
-        s = RobotState(0, 0, 0, 1.0, 0)
-        got = plan_start_state(s, (Control(1.0, 0),), DYN)
-        want = predict_next_batch(DYN, s.as_array()[None, :], np.array([[1.0, 0]]))
-        assert got == RobotState.from_array(want[0])
+        s = _state(0, 0, 0, 1.0, 0)
+        got = plan_start_state(s, np.array([[1.0, 0]]), DYN)
+        want = predict_next_batch(DYN, s[None, :], np.array([[1.0, 0]]))
+        np.testing.assert_array_equal(got, want[0])
 
     def test_two_step_queue_megarover(self):
         dyn = DynamicsModel(make_platform("megarover", 1.0))
-        s = RobotState(0, 0, 0, 0.0, 0)
-        q = (Control(1.0, 0), Control(1.0, 0))
+        s = _state(0, 0, 0, 0.0, 0)
+        q = np.array([[1.0, 0], [1.0, 0]])
         got = plan_start_state(s, q, dyn)
-        want = s.as_array()[None, :]
+        want = s[None, :]
         for u in q:
-            want = predict_next_batch(dyn, want, u.as_array()[None, :])
-        assert np.allclose(got.as_array(), want[0])
-        assert got.v == pytest.approx(0.12)  # two accel-clamped steps
+            want = predict_next_batch(dyn, want, u[None, :])
+        assert np.allclose(got, want[0])
+        assert got[3] == pytest.approx(0.12)  # two accel-clamped steps
 
     def test_delay_correctness_against_simulator(self):
         # without a net the planned start state equals, bit for bit, the
         # noiseless simulator's state once the queued controls execute
         params = make_platform("megarover", 1.0)
         dyn = DynamicsModel(params)
-        s = RobotState(2, 3, 0.5, 0.4, -0.2)
-        q = (Control(0.5, 0.4), Control(1.0, -0.8))
+        s = _state(2, 3, 0.5, 0.4, -0.2)
+        q = np.array([[0.5, 0.4], [1.0, -0.8]])
         planned = plan_start_state(s, q, dyn)
-        world = make_world({"r": (s, params)}, noise_sigma=0.0)
-        world.robots["r"] = RobotAgent(s, params, q)
+        world = dataclasses.replace(make_world({"r": (s, params)}, noise_sigma=0.0), queues=[q])
         for _ in q:
-            world = step_world(world, {"r": Control(0.0, 0.0)})
-        np.testing.assert_array_equal(planned.as_array(), world.robot_state("r").as_array())
+            world = step_world(world, [(0.0, 0.0)])
+        np.testing.assert_array_equal(planned, world.states[0])
 
 
 class TestFilterCandidates:
     def test_no_agents_all_survive(self):
         survivors, states, worst, _ = filter_candidates(
-            RobotState(0, 0, 0, 0.5, 0), [], all_barriers(-1.0), DYN, _cfg())
+            _state(0, 0, 0, 0.5, 0), [], all_barriers(-1.0), DYN, _cfg())
         assert len(survivors) == len(CANDS)
         assert np.all(np.isinf(worst))
 
     def test_negative_barrier_vetoes_all(self):
         agents = [AgentTrack("o", [(1.0, 0.0)] * 3)]
         survivors, _, worst, _ = filter_candidates(
-            RobotState(0, 0, 0, 0.5, 0), agents, all_barriers(-1.0), DYN, _cfg())
+            _state(0, 0, 0, 0.5, 0), agents, all_barriers(-1.0), DYN, _cfg())
         assert len(survivors) == 0
         assert np.allclose(worst, -1.0)
 
     def test_positive_barrier_keeps_all(self):
         agents = [AgentTrack("o", [(1.0, 0.0)] * 3)]
         survivors, _, _, _ = filter_candidates(
-            RobotState(0, 0, 0, 0.5, 0), agents, all_barriers(1.0), DYN, _cfg())
+            _state(0, 0, 0, 0.5, 0), agents, all_barriers(1.0), DYN, _cfg())
         assert len(survivors) == len(CANDS)
 
     def test_two_agents_intersection_semantics(self):
         # conjunction: survivors(two agents) = intersection of single-agent runs
-        start = RobotState(4.0, 6.0, 0.0, 0.8, 0.0)
+        start = _state(4.0, 6.0, 0.0, 0.8, 0.0)
         obs = AgentTrack("o", [(5.2, 6.0)] * 3)
         ped = AgentTrack("p", [(5.0, 7.6), (5.0, 7.5), (5.0, 7.4)])
         # distance-like barriers so the veto actually depends on geometry
@@ -125,13 +131,13 @@ class TestFilterCandidates:
     def test_far_agents_ignored(self):
         agents = [AgentTrack("o", [(30.0, 0.0)] * 3)]
         survivors, _, worst, _ = filter_candidates(
-            RobotState(0, 0, 0, 0.5, 0), agents, all_barriers(-1.0), DYN, _cfg())
+            _state(0, 0, 0, 0.5, 0), agents, all_barriers(-1.0), DYN, _cfg())
         assert len(survivors) == len(CANDS) and np.all(np.isinf(worst))
 
     def test_missing_barrier_hard_error(self):
         agents = [AgentTrack("o", [(1.0, 0.0)] * 3)]
         with pytest.raises(MissingBarrierError):
-            filter_candidates(RobotState(0, 0, 0, 0, 0), agents, {}, DYN, _cfg())
+            filter_candidates(_state(0, 0, 0, 0, 0), agents, {}, DYN, _cfg())
 
 
 def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
@@ -149,7 +155,7 @@ def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
             ks = np.arange(-2, horizon + 1)     # rows start at step -2
             return "pedestrian", track.positions[2] + ks[:, None] * DT * vel
         states = np.empty((horizon + 1, 5))
-        states[0] = track.state.as_array()
+        states[0] = track.state
         for k in range(horizon):
             states[k + 1] = coast_step_batch(states[k][None, :])[0]
         return "robot", states
@@ -171,12 +177,12 @@ def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
     cands = cfg.candidates
     nearby = []
     for track in agents:
-        if np.linalg.norm(track.positions[-1] - start.position) > INTERACTION_RADIUS:
+        if np.linalg.norm(track.positions[-1] - start[0:2]) > INTERACTION_RADIUS:
             continue
         kind, payload = predicted(track, HORIZON + time_offset_steps)
         task = {"static": "static", "pedestrian": "dynamic"}.get(kind, "multirobot")
         nearby.append((task, kind, payload))
-    states = np.tile(start.as_array(), (len(cands), 1))
+    states = np.tile(start, (len(cands), 1))
     worst_b = np.full(len(cands), np.inf)
     worst_d = np.full(len(cands), np.inf)
     for step in range(1, HORIZON + 1):
@@ -190,18 +196,18 @@ def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
     return np.where(worst_b >= 0.0)[0], states, worst_b, worst_d
 
 
-_START = RobotState(4.0, 6.0, 0.3, 0.8, 0.1)
+_START = _state(4.0, 6.0, 0.3, 0.8, 0.1)
 _AGENTS = {
     "static": [AgentTrack("o", [(5.2, 6.4)] * 3)],
     "pedestrian": [AgentTrack("p", [(5.0, 7.6), (5.0, 7.5), (5.0, 7.4)])],
     "robot": [AgentTrack("r", [(6.1, 5.0), (6.0, 5.0), (5.9, 5.0)],
-                         state=RobotState(5.9, 5.0, 3.1, 1.0, -0.2))],
+                         state=_state(5.9, 5.0, 3.1, 1.0, -0.2))],
 }
 _AGENTS["mixed_with_far"] = (_AGENTS["static"] + _AGENTS["pedestrian"] + _AGENTS["robot"] + [
     AgentTrack("o_far", [(30.0, 6.0)] * 3),
     AgentTrack("p_far", [(4.0, 11.6), (4.0, 11.5), (4.0, 11.4)]),
     AgentTrack("r_far", [(-3.0, 0.0)] * 3,
-               state=RobotState(-3.0, 0.0, 0.0, 0.0, 0.0))])
+               state=_state(-3.0, 0.0, 0.0, 0.0, 0.0))])
 
 
 @pytest.mark.parametrize("agents", sorted(_AGENTS))
@@ -279,24 +285,22 @@ class TestGoalScore:
 class TestSelectControl:
     def test_open_field_picks_max_forward_no_turn(self):
         cfg = _cfg(desired_speed=1.0)
-        u = select_control(RobotState(0, 6, 0, 1.0, 0), (), [], (10, 6),
+        u = select_control(_state(0, 6, 0, 1.0, 0), NO_QUEUE, [], (10, 6),
                            all_barriers(1.0), DYN, cfg)
-        assert (u.u_v, u.u_omega) == (1.0, 0.0)
+        assert tuple(u) == (1.0, 0.0)
 
     def test_all_vetoed_returns_least_bad_candidate(self):
         # every candidate vetoed: recovery steers away from the threat
         cfg = _cfg(desired_speed=1.0)
         barriers = _geometric_barriers()
-        start = RobotState(0, 0, 0, 1.0, 0)
+        start = _state(0, 0, 0, 1.0, 0)
         agents = [AgentTrack("o", [(0.6, 0.0)] * 3)]
         survivors, _, worst, clearance = filter_candidates(start, agents, barriers, DYN, cfg)
         assert len(survivors) == 0
-        u = select_control(start, (), agents, (10, 0), barriers, DYN, cfg)
-        assert (u.u_v, u.u_omega) == \
-            (recovery_control(cfg, worst, clearance).u_v,
-             recovery_control(cfg, worst, clearance).u_omega)
+        u = select_control(start, NO_QUEUE, agents, (10, 0), barriers, DYN, cfg)
+        np.testing.assert_array_equal(u, recovery_control(cfg, worst, clearance))
         # and the chosen control genuinely retreats rather than advancing
-        assert u.u_v <= 0.0
+        assert u[0] <= 0.0
 
     def test_recovery_prefers_clearance_below_d_and_barrier_above(self):
         cfg = _cfg()
@@ -307,21 +311,19 @@ class TestSelectControl:
         # candidate 7 brakes and keeps 0.6 m: clearance below d wins
         worst_b[3], worst_d[3] = -0.2, 0.2
         worst_b[7], worst_d[7] = -0.5, 0.6
-        u = recovery_control(cfg, worst_b, worst_d)
-        assert (u.u_v, u.u_omega) == tuple(cfg.candidates[7])
+        np.testing.assert_array_equal(recovery_control(cfg, worst_b, worst_d), cfg.candidates[7])
         # once both clear the safety distance the barrier breaks the tie
         worst_d[3] = 0.9
         worst_d[7] = 0.8
-        u = recovery_control(cfg, worst_b, worst_d)
-        assert (u.u_v, u.u_omega) == tuple(cfg.candidates[3])
+        np.testing.assert_array_equal(recovery_control(cfg, worst_b, worst_d), cfg.candidates[3])
 
     def test_delay_compensation_changes_plan_frame(self):
         # same situation, queue full of forward commands: compensation plans
         # from the rolled-forward state
         cfg = _cfg(desired_speed=1.0)
         barriers = _geometric_barriers()
-        start = RobotState(0, 0, 0, 1.0, 0)
-        queue = (Control(1.0, 0.0), Control(1.0, 0.0))
+        start = _state(0, 0, 0, 1.0, 0)
+        queue = np.array([[1.0, 0.0], [1.0, 0.0]])
         agents = [AgentTrack("o", [(2.2, 0.0)] * 3)]
         # the compensated planner starts 0.2 m closer to the obstacle, so its
         # survivor set can only shrink relative to the uncompensated one
@@ -336,8 +338,8 @@ class TestSelectControl:
 
     @pytest.mark.parametrize("bad", ["state", "queue", "goal"])
     def test_non_finite_input_raises(self, bad):
-        state = RobotState(np.nan, 6, 0, 1.0, 0) if bad == "state" else RobotState(0, 6, 0, 1.0, 0)
-        queue = (Control(1.0, 0.0), Control(np.inf, 0.0)) if bad == "queue" else ()
+        state = _state(np.nan if bad == "state" else 0, 6, 0, 1.0, 0)
+        queue = np.array([[1.0, 0.0], [np.inf, 0.0]]) if bad == "queue" else NO_QUEUE
         goal = (10, np.nan) if bad == "goal" else (10, 6)
         with pytest.raises(ValueError, match="non-finite"):
             select_control(state, queue, [], goal, all_barriers(1.0), DYN, _cfg())

@@ -5,8 +5,8 @@ from safefleet import nn
 from safefleet.dynamics import (DynamicsModel, next_state_mse, predict_next_batch,
                                 residual_targets, train_dynamics,
                                 transitions_from_trajectories)
-from safefleet.world import (DT, MAX_OMEGA, Control, RobotState, kinematics_step_batch,
-                             make_platform, make_world, step_world, wrap_angle)
+from safefleet.world import (DT, MAX_OMEGA, kinematics_step_batch, make_platform, make_world,
+                             step_world, wrap_angle)
 
 FREIGHT = make_platform("freight", 1.0)
 FREIGHT_NO_DELAY = make_platform("freight", 1.0, delay_h=0.0)
@@ -36,8 +36,8 @@ class TestPredictNext:
         for _ in range(50):
             s = _random_states(1, rng)
             u = np.array([[rng.uniform(-1, 1), rng.uniform(-1.5, 1.5)]])
-            world = make_world({"r": (RobotState(*s[0]), FREIGHT_NO_DELAY)}, noise_sigma=0.0)
-            want = step_world(world, {"r": Control(*u[0])}).robot_state("r").as_array()
+            world = make_world({"r": (s[0], FREIGHT_NO_DELAY)}, noise_sigma=0.0)
+            want = step_world(world, u).states[0]
             for model in models:
                 np.testing.assert_array_equal(predict_next_batch(model, s, u)[0], want)
 
@@ -104,7 +104,8 @@ class TestTrainDynamics:
         traj = np.zeros((50, 8))
         traj[:, 0] = np.arange(50) * DT
         with pytest.raises(ValueError):
-            train_dynamics([traj], FREIGHT, nn.TrainConfig())
+            train_dynamics([traj], FREIGHT,
+                           nn.TrainConfig(lr=1e-3, batch_size=64, epochs=100, seed=0))
 
     def test_transition_stacking(self):
         trajs = [np.arange(80, dtype=float).reshape(10, 8),

@@ -101,7 +101,7 @@ class TestTrain:
         m = nn.Mlp([2, 3, 1], seed=3)
         before = [W.copy() for W in m.weights]
         nn.train(m, np.ones((4, 2)), np.ones(4), nn.mse_loss,
-                 nn.TrainConfig(epochs=0, seed=0))
+                 nn.TrainConfig(lr=1e-3, batch_size=64, epochs=0, seed=0))
         assert all(np.array_equal(a, b) for a, b in zip(before, m.weights))
 
     def test_seeded_determinism(self):
@@ -111,7 +111,7 @@ class TestTrain:
             X = rng.normal(size=(50, 3))
             Y = rng.normal(size=(50, 2))
             m = nn.Mlp([3, 8, 2], seed=7)
-            nn.train(m, X, Y, nn.mse_loss, nn.TrainConfig(epochs=5, seed=7))
+            nn.train(m, X, Y, nn.mse_loss, nn.TrainConfig(lr=1e-3, batch_size=64, epochs=5, seed=7))
             finals.append([W.copy() for W in m.parameters()])
         assert all(np.array_equal(a, b) for a, b in zip(*finals))
 
@@ -120,13 +120,15 @@ class TestTrain:
         X = rng.uniform(-1, 1, (200, 2))
         Y = X @ np.array([1.5, -0.5])
         m = nn.Mlp([2, 1], seed=0)
-        _, curve = nn.train(m, X, Y, nn.mse_loss, nn.TrainConfig(epochs=50, seed=0))
+        _, curve = nn.train(m, X, Y, nn.mse_loss,
+                            nn.TrainConfig(lr=1e-3, batch_size=64, epochs=50, seed=0))
         assert curve[-1] < curve[0]
 
     def test_empty_dataset_rejected(self):
         m = nn.Mlp([2, 1], seed=0)
         with pytest.raises(ValueError):
-            nn.train(m, np.empty((0, 2)), np.empty(0), nn.mse_loss, nn.TrainConfig())
+            nn.train(m, np.empty((0, 2)), np.empty(0), nn.mse_loss,
+                     nn.TrainConfig(lr=1e-3, batch_size=64, epochs=100, seed=0))
 
     def test_nan_loss_aborts(self):
         m = nn.Mlp([1, 1], seed=0)
@@ -135,7 +137,8 @@ class TestTrain:
             return float("nan"), np.zeros_like(pred)
 
         with pytest.raises(nn.TrainingDiverged):
-            nn.train(m, np.ones((4, 1)), np.ones(4), bad_loss, nn.TrainConfig(epochs=1))
+            nn.train(m, np.ones((4, 1)), np.ones(4), bad_loss,
+                     nn.TrainConfig(lr=1e-3, batch_size=64, epochs=1, seed=0))
 
     def test_weights_follow_the_shuffle(self):
         # each row's weight is 10x its target, so a batch whose weights were
@@ -150,14 +153,14 @@ class TestTrain:
             return nn.mse_loss(pred, target)
 
         nn.train(nn.Mlp([1, 1], seed=0), X, Y, checked_mse,
-                 nn.TrainConfig(batch_size=16, epochs=2, seed=3), weights=10.0 * Y)
+                 nn.TrainConfig(lr=1e-3, batch_size=16, epochs=2, seed=3), weights=10.0 * Y)
         assert seen == [16, 16, 8] * 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            nn.TrainConfig(lr=0.0)
+            nn.TrainConfig(lr=0.0, batch_size=64, epochs=100, seed=0)
         with pytest.raises(ValueError):
-            nn.TrainConfig(batch_size=0)
+            nn.TrainConfig(lr=1e-3, batch_size=0, epochs=100, seed=0)
 
 
 class TestLosses:

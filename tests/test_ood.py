@@ -105,4 +105,4 @@ class TestTrainOod:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             train_ood(np.random.default_rng(0).normal(size=(100, 3)), c=0.1, hidden=(8,),
-                      config=nn.TrainConfig())
+                      config=nn.TrainConfig(lr=1e-3, batch_size=64, epochs=100, seed=0))

@@ -4,12 +4,14 @@ A refinement ships only where it beat kinematics on held-out data: the
 bundle holds `dynamics_<platform>` exactly when the training report's
 `heldout_mse < baseline_mse`.  At run time every robot predicts with its own
 platform limits, plus the shipped net of its platform if there is one.
+Last, the test bundle's cache key.
 """
 import os
 
 import numpy as np
 import yaml
 
+from conftest import source_key
 from safefleet import nn, pipeline
 from safefleet.barrier import BarrierModel
 from safefleet.dynamics import DynamicsModel, predict_next_batch, train_dynamics
@@ -143,3 +145,14 @@ def test_save_bundle_removes_model_files_its_manifest_does_not_list(tmp_path):
     assert listed == {"barrier_static.mlp"}
     assert {p.name for p in tmp_path.iterdir()} == listed | {"manifest.yaml", "notes.txt"}
     assert pipeline.load_bundle(tmp_path).dynamics == {}
+
+
+def test_bundle_cache_key_counts_code_edits_only():
+    # the cached test bundle is rebuilt for an edit that can change a weight,
+    # not for a docstring, comment or layout edit
+    src = ('"""Module."""\nimport math\n\n\nclass A:\n    """Doc."""\n\n'
+           '    def f(self, x):\n        """Doc."""\n        return math.cos(x) + 1  # one\n')
+    reworded = ('"""Other words."""\nimport math\n\n\nclass A:\n    def f(self, x):\n'
+                '        # a comment\n        return math.cos(x)+1\n')
+    assert source_key(reworded) == source_key(src)
+    assert source_key(src.replace("+ 1", "- 1")) != source_key(src)

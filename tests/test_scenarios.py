@@ -169,10 +169,18 @@ class TestScenarioConfig:
          lambda raw: raw["robots"][0].pop("goal"), r"unit_task robot 'r0' has no goal"),
         (pick_and_place_config,
          lambda raw: raw["homes"].pop("r3"), r"pick_and_place robot 'r3' has no home"),
-    ], ids=["duplicate_id", "no_platform", "unit_task_no_goal", "pick_and_place_no_home"])
+        (lambda: unit_task_config("static", 2, 1.0),
+         lambda raw: raw["robots"][1].update(start=[1.5, 7.5]), r"robot 'r1' start must be 3"),
+        (lambda: unit_task_config("static", 1, 1.0),
+         lambda raw: raw["robots"][0].update(goal=[10.5, 6.0, 0.0]), r"robot 'r0' goal must be 2"),
+        (lambda: unit_task_config("static", 1, 1.0),
+         lambda raw: raw["obstacles"][1].append(0.0), r"obstacle 1 must be 2"),
+    ], ids=["duplicate_id", "no_platform", "unit_task_no_goal", "pick_and_place_no_home",
+            "start_two_numbers", "goal_three_numbers", "obstacle_three_numbers"])
     def test_malformed_robots_named(self, build, spoil, named):
-        # each of these used to pass the boundary and fail mid-run, or, for a
-        # duplicate id, run with one robot silently dropped
+        # each of these used to pass the boundary and fail mid-run (a short
+        # start, a long goal or obstacle with a message that named nothing),
+        # or, for a duplicate id, run with one robot silently dropped
         raw = dataclasses.asdict(build())
         spoil(raw)
         with pytest.raises(ValueError, match=named):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safefleet.world import (ANGULAR_CANDIDATES, DT, LINEAR_CANDIDATES, MAX_OMEGA, Control,
+from safefleet.world import (ANGULAR_CANDIDATES, DT, LINEAR_CANDIDATES, MAX_OMEGA,
                              PedestrianTrack, PedestrianWalker, PlatformParams,
-                             RobotAgent, RobotState, candidate_controls,
-                             kinematics_step_batch, make_platform, make_world,
-                             step_world, wrap_angle)
+                             candidate_controls, kinematics_step_batch, make_platform,
+                             make_world, step_world, wrap_angle)
 
 FREIGHT = make_platform("freight", 1.0)
 MEGAROVER = make_platform("megarover", 1.0)
@@ -30,11 +29,11 @@ def scalar_step(state, control, params, velocity_noise=(0.0, 0.0)):
     return np.array([x, y, th, v, om])
 
 
-def step(state: RobotState, control: Control, params) -> RobotState:
-    """One noiseless row through kinematics_step_batch."""
-    out = kinematics_step_batch(state.as_array()[None, :], control.as_array()[None, :],
+def step(state, control, params) -> np.ndarray:
+    """One noiseless (x, y, theta, v, omega) row through kinematics_step_batch."""
+    out = kinematics_step_batch(np.array([state], dtype=float), np.array([control], dtype=float),
                                 params.m_v, params.m_omega, params.max_speed)
-    return RobotState.from_array(out[0])
+    return out[0]
 
 
 def random_rows(n, rng):
@@ -55,41 +54,40 @@ def noise_residual(noise):
 class TestKinematics:
     def test_straight_line_at_target_velocity(self):
         # already at the commanded velocity: pure straight advance
-        s = step(RobotState(0, 0, 0, 1.0, 0), Control(1.0, 0), FREIGHT)
-        assert s.x == pytest.approx(0.1)
-        assert (s.y, s.theta, s.v, s.omega) == (0.0, 0.0, 1.0, 0.0)
+        x, y, th, v, om = step((0, 0, 0, 1.0, 0), (1.0, 0), FREIGHT)
+        assert x == pytest.approx(0.1)
+        assert (y, th, v, om) == (0.0, 0.0, 1.0, 0.0)
 
     def test_acceleration_clamp_from_rest(self):
         # megarover m_v = 0.6: dv capped at 0.6 * 0.1 = 0.06
-        s = step(RobotState(0, 0, 0, 0, 0), Control(1.0, 0), MEGAROVER)
-        assert s.v == pytest.approx(0.06)
-        assert (s.x, s.y, s.theta, s.omega) == (0.0, 0.0, 0.0, 0.0)
+        x, y, th, v, om = step((0, 0, 0, 0, 0), (1.0, 0), MEGAROVER)
+        assert v == pytest.approx(0.06)
+        assert (x, y, th, om) == (0.0, 0.0, 0.0, 0.0)
 
     def test_heading_pi_half_moves_plus_y(self):
-        s = step(RobotState(0, 0, math.pi / 2, 1.0, 0), Control(1.0, 0), FREIGHT)
-        assert s.x == pytest.approx(0.0, abs=1e-12)
-        assert s.y == pytest.approx(0.1)
-        assert s.theta == pytest.approx(math.pi / 2)
+        x, y, th, _, _ = step((0, 0, math.pi / 2, 1.0, 0), (1.0, 0), FREIGHT)
+        assert x == pytest.approx(0.0, abs=1e-12)
+        assert y == pytest.approx(0.1)
+        assert th == pytest.approx(math.pi / 2)
 
     def test_braking_also_clamped(self):
-        s = step(RobotState(0, 0, 0, 1.0, 0), Control(0.0, 0), MEGAROVER)
-        assert s.v == pytest.approx(1.0 - 0.06)
+        assert step((0, 0, 0, 1.0, 0), (0.0, 0), MEGAROVER)[3] == pytest.approx(1.0 - 0.06)
 
     @given(v=st.floats(-1.0, 1.0), om=st.floats(-1.5, 1.5),
            uv=st.floats(-1.0, 1.0), uw=st.floats(-1.5, 1.5),
            th=st.floats(-math.pi, math.pi))
     @settings(max_examples=100, deadline=None)
     def test_velocity_change_bounded_by_acceleration(self, v, om, uv, uw, th):
-        s = step(RobotState(0, 0, th, v, om), Control(uv, uw), FREIGHT)
-        assert abs(s.v - v) <= FREIGHT.m_v * DT + 1e-9
-        assert abs(s.omega - om) <= FREIGHT.m_omega * DT + 1e-9
-        assert -math.pi < s.theta <= math.pi
+        _, _, th_new, v_new, om_new = step((0, 0, th, v, om), (uv, uw), FREIGHT)
+        assert abs(v_new - v) <= FREIGHT.m_v * DT + 1e-9
+        assert abs(om_new - om) <= FREIGHT.m_omega * DT + 1e-9
+        assert -math.pi < th_new <= math.pi
 
     def test_stationary_robot_stays_put(self):
-        s = RobotState(3.0, 4.0, 1.0, 0.0, 0.0)
+        s = (3.0, 4.0, 1.0, 0.0, 0.0)
         for _ in range(20):
-            s = step(s, Control(0, 0), FREIGHT)
-        assert (s.x, s.y) == (3.0, 4.0)
+            s = step(s, (0, 0), FREIGHT)
+        assert (s[0], s[1]) == (3.0, 4.0)
 
 
 class TestOneStep:
@@ -125,27 +123,31 @@ class TestOneStep:
         np.testing.assert_array_equal(kinematics_step_batch(S, U, *lims), want)
 
     def test_step_world_matches_scalar_reference(self):
-        # a noisy three-robot world: one (R, 2) noise draw per tick equals the
-        # scalar simulator's per-robot size-2 draws in sorted id order
-        specs = {"b": (RobotState(1.0, 2.0, 0.3, 0.2, 0.0), make_platform("megarover", 1.0)),
-                 "a": (RobotState(5.0, 5.0, -2.0, 0.0, 0.4), make_platform("freight", 1.0)),
-                 "c": (RobotState(8.0, 1.0, 3.0, 0.5, -0.2), make_platform("jackal", 1.0))}
+        # a noisy four-robot world with delays of 2, 1, 1 and 0 ticks: one
+        # (R, 2) noise draw per tick equals the scalar simulator's per-robot
+        # size-2 draws in sorted id order
+        specs = {"b": ((1.0, 2.0, 0.3, 0.2, 0.0), make_platform("megarover", 1.0)),
+                 "a": ((5.0, 5.0, -2.0, 0.0, 0.4), make_platform("freight", 1.0)),
+                 "c": ((8.0, 1.0, 3.0, 0.5, -0.2), make_platform("jackal", 1.0)),
+                 "d": ((2.0, 9.0, 1.2, 0.4, 0.1), make_platform("freight", 1.0, delay_h=0.0))}
         world = make_world(specs, noise_sigma=0.02, seed=11)
+        assert world.ids == ["a", "b", "c", "d"]
+        assert [len(q) for q in world.queues] == [1, 2, 1, 0]
         rng = np.random.default_rng(11)
-        ref = {rid: (s.as_array(), p, [(0.0, 0.0)] * p.delay_steps)
+        ref = {rid: (np.array(s), p, [(0.0, 0.0)] * p.delay_steps)
                for rid, (s, p) in specs.items()}
         cmd_rng = np.random.default_rng(3)
         for _ in range(60):
-            cmds = {rid: Control(*cmd_rng.uniform(-1.2, 1.2, 2)) for rid in specs}
+            cmds = cmd_rng.uniform(-1.2, 1.2, (len(specs), 2))
             world = step_world(world, cmds)
-            for rid in sorted(ref):
+            for rid, cmd in zip(world.ids, cmds):
                 state, params, queue = ref[rid]
-                queue = queue + [(cmds[rid].u_v, cmds[rid].u_omega)]
+                queue = queue + [tuple(cmd)]
                 noise = tuple(rng.normal(0.0, 0.02, 2))
                 ref[rid] = (scalar_step(state, queue[0], params, velocity_noise=noise),
                             params, queue[1:])
-            for rid in specs:
-                np.testing.assert_array_equal(world.robot_state(rid).as_array(), ref[rid][0])
+            np.testing.assert_array_equal(world.states,
+                                          np.stack([ref[rid][0] for rid in world.ids]))
 
 
 class TestWrapAngle:
@@ -205,53 +207,66 @@ class TestPlatforms:
 
 class TestStepWorld:
     def test_zero_delay_applies_same_tick(self):
-        robots = {"r": (RobotState(0, 0, 0, 1.0, 0), make_platform("freight", 1.0, delay_h=0.0))}
+        robots = {"r": ((0, 0, 0, 1.0, 0), make_platform("freight", 1.0, delay_h=0.0))}
         world = make_world(robots)
-        nxt = step_world(world, {"r": Control(1.0, 0)})
-        assert nxt.robot_state("r").x == pytest.approx(0.1)
+        nxt = step_world(world, [(1.0, 0)])
+        assert nxt.states[0, 0] == pytest.approx(0.1)
         assert nxt.time == pytest.approx(0.1)
 
     def test_delay_exactness(self):
         # with delay k*dt, the control applied at step n was issued at n - k
         k = 2
-        robots = {"r": (RobotState(0, 0, 0, 0.0, 0), make_platform("megarover", 1.0))}
+        robots = {"r": ((0, 0, 0, 0.0, 0), make_platform("megarover", 1.0))}
         world = make_world(robots)
-        assert len(world.robots["r"].queue) == k
+        assert world.queues[0].shape == (k, 2)
         # issue a burst command once, then zeros; v must stay 0 for k steps
-        world = step_world(world, {"r": Control(1.0, 0)})
-        assert world.robot_state("r").v == 0.0
-        world = step_world(world, {"r": Control(0.0, 0)})
-        assert world.robot_state("r").v == 0.0
-        world = step_world(world, {"r": Control(0.0, 0)})
-        assert world.robot_state("r").v == pytest.approx(0.06)  # burst lands here
+        world = step_world(world, [(1.0, 0)])
+        assert world.states[0, 3] == 0.0
+        world = step_world(world, [(0.0, 0)])
+        assert world.states[0, 3] == 0.0
+        world = step_world(world, [(0.0, 0)])
+        assert world.states[0, 3] == pytest.approx(0.06)  # burst lands here
+
+    def test_step_leaves_the_old_world_unchanged(self):
+        # run_single keeps views of a world's state rows as position history
+        robots = {"a": ((1, 2, 0.3, 0.5, 0.1), MEGAROVER), "b": ((4, 4, 0, 0, 0), FREIGHT)}
+        world = make_world(robots, noise_sigma=0.01, seed=5)
+        states, queues = world.states.copy(), [q.copy() for q in world.queues]
+        nxt = step_world(world, [(1.0, 0.4), (0.5, -0.4)])
+        np.testing.assert_array_equal(world.states, states)
+        for old, kept in zip(world.queues, queues):
+            np.testing.assert_array_equal(old, kept)
+        assert not np.array_equal(nxt.states, states)
+        assert [q.tolist() for q in nxt.queues] == [[[0.0, 0.0], [1.0, 0.4]], [[0.5, -0.4]]]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_initial_state_rejected(self, bad):
-        robots = {"ok": (RobotState(0, 0, 0, 0, 0), FREIGHT),
-                  "r2": (RobotState(1.0, bad, 0, 0, 0), FREIGHT)}
+        robots = {"ok": ((0, 0, 0, 0, 0), FREIGHT), "r2": ((1.0, bad, 0, 0, 0), FREIGHT)}
         with pytest.raises(ValueError, match="'r2'"):
             make_world(robots)
 
-    def test_unknown_robot_id_rejected(self):
-        world = make_world({"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)})
-        with pytest.raises(KeyError):
-            step_world(world, {"ghost": Control(0, 0)})
+    def test_wrong_command_shape_rejected(self):
+        # one (2,) row per robot: an extra row, a missing one or a wrong width
+        world = make_world({"r": ((0, 0, 0, 0, 0), FREIGHT), "s": ((2, 0, 0, 0, 0), FREIGHT)})
+        for cmds in (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((2, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match=r"\(2, 2\)"):
+                step_world(world, cmds)
 
-    @pytest.mark.parametrize("cmd", [Control(float("nan"), 0.0), Control(0.5, float("inf"))])
+    @pytest.mark.parametrize("cmd", [(float("nan"), 0.0), (0.5, float("inf"))])
     def test_non_finite_command_rejected(self, cmd):
-        world = make_world({"r": (RobotState(0, 0, 0, 0, 0), FREIGHT)})
-        with pytest.raises(ValueError, match="non-finite"):
-            step_world(world, {"r": cmd})
+        world = make_world({"q": ((0, 0, 0, 0, 0), FREIGHT), "r": ((1, 0, 0, 0, 0), FREIGHT)})
+        with pytest.raises(ValueError, match="non-finite command for robot 'r'"):
+            step_world(world, [(0.0, 0.0), cmd])
 
     def test_determinism_with_noise(self):
-        robots = {"r": (RobotState(1, 1, 0.3, 0.5, 0.1), FREIGHT)}
+        robots = {"r": ((1, 1, 0.3, 0.5, 0.1), FREIGHT)}
         runs = []
         for _ in range(2):
             world = make_world(robots, noise_sigma=0.01, seed=42)
             states = []
             for _ in range(50):
-                world = step_world(world, {"r": Control(1.0, 0.4)})
-                states.append(world.robot_state("r").as_array())
+                world = step_world(world, [(1.0, 0.4)])
+                states.append(world.states[0])
             runs.append(np.stack(states))
         assert np.array_equal(runs[0], runs[1])
 
@@ -259,7 +274,7 @@ class TestStepWorld:
         track = PedestrianTrack(((0.0, 0.0), (2.0, 0.0)), (1.0,))
         world = make_world({}, pedestrians={"p": PedestrianWalker(track)})
         for _ in range(10):
-            world = step_world(world, {})
+            world = step_world(world, np.empty((0, 2)))
         assert world.pedestrians["p"].position()[0] == pytest.approx(1.0)
 
     def test_pedestrian_ping_pong(self):
