@@ -1,13 +1,15 @@
 """Decentralized sampling-based safe controller.
 
 Each tick the robot classifies its surrounding agents from 3-step position
-tracks, rolls the dynamics model through the already-queued (delayed)
-controls to find the state where a new command will actually bite, unrolls
-every discrete candidate over a short horizon, vetoes candidates whose
-predicted states violate any per-agent barrier, and picks the survivor with
-the best goal-driven score.  The dynamics roll all candidates forward step
-by step, then each nearby agent's barrier is evaluated once on the whole
-horizon x candidates block of predicted states.
+tracks (another robot's track also carries its coasted states, which the
+caller predicts once per tick for the whole fleet), rolls the dynamics model
+through the already-queued (delayed) controls to find the state where a new
+command will actually bite, unrolls every discrete candidate over a short
+horizon, vetoes candidates whose predicted states violate any per-agent
+barrier, and picks the survivor with the best goal-driven score.  The
+dynamics roll all candidates forward step by step, then each nearby agent's
+barrier is evaluated once on the whole horizon x candidates block of
+predicted states.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ class MissingBarrierError(RuntimeError):
 class AgentTrack:
     id: str
     positions: np.ndarray                 # (3, 2), oldest first, DT spacing
-    state: np.ndarray | None = None       # (5,) full state, robots only
+    states: np.ndarray | None = None      # (K+1, 5) coasted states, robots only; row 0 is now
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
@@ -50,8 +52,8 @@ class ControllerConfig:
 
 
 def classify_agent(track: AgentTrack) -> str:
-    """'robot' for tracks that carry a full state, else mean-speed thresholding."""
-    if track.state is not None:
+    """'robot' for tracks that carry coasted states, else mean-speed thresholding."""
+    if track.states is not None:
         return "robot"
     steps = np.diff(track.positions, axis=0)
     mean_speed = float(np.linalg.norm(steps, axis=1).mean()) / DT
@@ -64,6 +66,17 @@ def plan_start_state(current: np.ndarray, queue: np.ndarray, dyn: DynamicsModel)
     for u in queue:
         state = predict_next_batch(dyn, state, u[None, :])
     return state[0]
+
+
+def coast_rollout(states: np.ndarray, n_steps: int) -> np.ndarray:
+    """(n_steps + 1, R, 5) constant-velocity coast of the (R, 5) `states`;
+    row 0 is `states`.  The step is elementwise, so each robot's rows equal
+    its own one-row coast bit for bit."""
+    out = np.empty((n_steps + 1,) + states.shape)
+    out[0] = states
+    for k in range(n_steps):
+        out[k + 1] = coast_step_batch(out[k])
+    return out
 
 
 def _predicted_agent(track: AgentTrack, steps: np.ndarray):
@@ -79,11 +92,10 @@ def _predicted_agent(track: AgentTrack, steps: np.ndarray):
         ks = steps[:, None] + np.arange(-2, 1)
         windows = track.positions[2] + ks[..., None] * DT * vel
         return "dynamic", windows.reshape(len(steps), 6), windows[:, 2]
-    states = np.empty((steps[-1] + 1, 5))
-    states[0] = track.state
-    for k in range(steps[-1]):
-        states[k + 1] = coast_step_batch(states[k][None, :])[0]
-    return "multirobot", states[steps], states[steps, 0:2]
+    if steps[-1] >= len(track.states):
+        raise ValueError(f"track {track.id!r} is coasted {len(track.states) - 1} steps, "
+                         f"{steps[-1]} needed")
+    return "multirobot", track.states[steps], track.states[steps, 0:2]
 
 
 def filter_candidates(start: np.ndarray, agents, barriers: dict,

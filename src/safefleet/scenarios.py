@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 import yaml
 
-from .controller import AgentTrack, ControllerConfig, select_control
+from .controller import HORIZON, AgentTrack, ControllerConfig, coast_rollout, select_control
 from .dynamics import DynamicsModel
 from .fleet import GOAL_TOLERANCE, Orchestrator, Task, WarehouseMap
 from .world import (DT, VELOCITY_NOISE, PedestrianTrack, PedestrianWalker, PlatformParams,
@@ -185,6 +185,10 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
     histories = {rid: [row[0:2]] * 3 for rid, row in zip(ids, world.states)}
     for pid, walker in pedestrians.items():
         histories[pid] = [walker.position()] * 3
+    obstacle_tracks = [AgentTrack(id=f"o{k}", positions=[obs] * 3)
+                       for k, obs in enumerate(world.obstacles)]
+    # other robots are predicted as far as the longest delay shifts a decider's horizon
+    coast_steps = HORIZON + max((len(q) for q in world.queues), default=0)
 
     log = []
     reached = set()
@@ -197,6 +201,16 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
                 ctrl_cfgs[rid].desired_speed = 0.0 if (hold or rid not in orchestrator.active) \
                     else cfg.max_speed
 
+        # every agent's track, built once per tick; decider i gets all but its
+        # own: the other robots, then pedestrians, then obstacles
+        robot_tracks = []
+        if len(ids) > 1:
+            coasted = coast_rollout(world.states, coast_steps)
+            robot_tracks = [AgentTrack(id=rid, positions=np.stack(histories[rid]),
+                                       states=coasted[:, j]) for j, rid in enumerate(ids)]
+        other_tracks = [AgentTrack(id=pid, positions=np.stack(histories[pid]))
+                        for pid in sorted(world.pedestrians)] + obstacle_tracks
+
         commands = np.empty((len(ids), 2))
         for i, rid in enumerate(ids):
             state = world.states[i]
@@ -207,7 +221,7 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
             # full-speed orbit score better than landing inside the tolerance
             goal_dist = float(np.linalg.norm(goals[rid] - state[0:2]))
             cc.desired_speed = min(cc.desired_speed, max(0.3, goal_dist))
-            agents = _surrounding_tracks(world, histories, i)
+            agents = robot_tracks[:i] + robot_tracks[i + 1:] + other_tracks
             commands[i] = select_control(state, world.queues[i], agents, goals[rid],
                                          models.barriers, models.dynamics_for(platforms[rid]),
                                          cc, compensate_delay=cfg.compensate_delay)
@@ -238,22 +252,6 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
     metrics = {rid: compute_metrics(log, rid) for rid in robots}
     events = orchestrator.events if orchestrator is not None else []
     return RepResult(seed=seed, log=log, metrics=metrics, success=success, events=events)
-
-
-def _surrounding_tracks(world, histories, i):
-    """Tracks of every agent but robot i: the other robots with their states,
-    then pedestrians, then obstacles."""
-    tracks = []
-    for j, oid in enumerate(world.ids):
-        if j != i:
-            tracks.append(AgentTrack(id=oid, positions=np.stack(histories[oid]),
-                                     state=world.states[j]))
-    for pid in sorted(world.pedestrians):
-        tracks.append(AgentTrack(id=pid, positions=np.stack(histories[pid])))
-    for k, obs in enumerate(world.obstacles):
-        pos = np.asarray(obs, dtype=float)
-        tracks.append(AgentTrack(id=f"o{k}", positions=np.stack([pos, pos, pos])))
-    return tracks
 
 
 def _log_tick(log, world):

@@ -295,3 +295,10 @@ def test_criterion_10_byte_identical_rerun(bundle):
     assert summarize(res_a) == summarize(res_b)
     assert [serialize_log(r.log) for r in res_a.reps] == \
         [serialize_log(r.log) for r in res_b.reps]
+
+    # robot tracks carry a per-tick coast of the whole fleet: a rerun of a
+    # two-robot rep must not see anything left over from the first run
+    h2h = head_to_head_config(seed=0, repetitions=1)
+    rep_a = run_single(h2h, bundle, seed=h2h.seed)
+    rep_b = run_single(h2h, bundle, seed=h2h.seed)
+    assert serialize_log(rep_a.log) == serialize_log(rep_b.log)

@@ -6,9 +6,9 @@ import pytest
 from safefleet import nn
 from safefleet.barrier import BarrierModel
 from safefleet.controller import (HORIZON, INTERACTION_RADIUS, AgentTrack, ControllerConfig,
-                                  MissingBarrierError, classify_agent, filter_candidates,
-                                  goal_score, recovery_control, plan_start_state,
-                                  select_control)
+                                  MissingBarrierError, _predicted_agent, classify_agent,
+                                  coast_rollout, filter_candidates, goal_score,
+                                  recovery_control, plan_start_state, select_control)
 from safefleet.data import features_from_context
 from safefleet.dynamics import DynamicsModel, predict_next_batch
 from safefleet.world import (DT, candidate_controls, coast_step_batch, make_platform,
@@ -51,8 +51,8 @@ class TestClassifyAgent:
         assert classify_agent(track) == "pedestrian"
 
     def test_declared_kind_short_circuits(self):
-        # a track carrying a full state is a robot, even when it stands still
-        track = AgentTrack("r", [(1, 1)] * 3, state=_state(1, 1, 0, 0, 0))
+        # a track carrying coasted states is a robot, even when it stands still
+        track = AgentTrack("r", [(1, 1)] * 3, states=_state(1, 1, 0, 0, 0)[None, :])
         assert classify_agent(track) == "robot"
 
     def test_track_needs_three_positions(self):
@@ -154,11 +154,7 @@ def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
             vel = (track.positions[2] - track.positions[0]) / (2.0 * DT)
             ks = np.arange(-2, horizon + 1)     # rows start at step -2
             return "pedestrian", track.positions[2] + ks[:, None] * DT * vel
-        states = np.empty((horizon + 1, 5))
-        states[0] = track.state
-        for k in range(horizon):
-            states[k + 1] = coast_step_batch(states[k][None, :])[0]
-        return "robot", states
+        return "robot", _coast_reference(track.states[0], horizon)
 
     def position(kind, payload, step):
         if kind == "static":
@@ -196,18 +192,42 @@ def _reference_filter(start, agents, barriers, dyn, cfg, time_offset_steps=0):
     return np.where(worst_b >= 0.0)[0], states, worst_b, worst_d
 
 
+def _coast_reference(state, n_steps):
+    """The one-row, step-by-step coast of a (5,) state: (n_steps + 1, 5).
+
+    Kept as the reference that every robot's rows of `coast_rollout` must
+    match bit for bit.
+    """
+    states = np.empty((n_steps + 1, 5))
+    states[0] = state
+    for k in range(n_steps):
+        states[k + 1] = coast_step_batch(states[k][None, :])[0]
+    return states
+
+
+def _robot_tracks(robots, n_steps=HORIZON + 2):
+    """Tracks of `robots` ({id: (positions, (5,) state)}) carrying their rows
+    of one shared coast, as `run_single` builds them; by default as long as
+    a 2-tick delay needs."""
+    coasted = coast_rollout(np.array([state for _, state in robots.values()], dtype=float),
+                            n_steps)
+    return [AgentTrack(rid, pos, states=coasted[:, j])
+            for j, (rid, (pos, _)) in enumerate(robots.items())]
+
+
 _START = _state(4.0, 6.0, 0.3, 0.8, 0.1)
+_ROBOT, _ROBOT_FAR = _robot_tracks({
+    "r": ([(6.1, 5.0), (6.0, 5.0), (5.9, 5.0)], _state(5.9, 5.0, 3.1, 1.0, -0.2)),
+    "r_far": ([(-3.0, 0.0)] * 3, _state(-3.0, 0.0, 0.0, 0.0, 0.0))})
 _AGENTS = {
     "static": [AgentTrack("o", [(5.2, 6.4)] * 3)],
     "pedestrian": [AgentTrack("p", [(5.0, 7.6), (5.0, 7.5), (5.0, 7.4)])],
-    "robot": [AgentTrack("r", [(6.1, 5.0), (6.0, 5.0), (5.9, 5.0)],
-                         state=_state(5.9, 5.0, 3.1, 1.0, -0.2))],
+    "robot": [_ROBOT],
 }
 _AGENTS["mixed_with_far"] = (_AGENTS["static"] + _AGENTS["pedestrian"] + _AGENTS["robot"] + [
     AgentTrack("o_far", [(30.0, 6.0)] * 3),
     AgentTrack("p_far", [(4.0, 11.6), (4.0, 11.5), (4.0, 11.4)]),
-    AgentTrack("r_far", [(-3.0, 0.0)] * 3,
-               state=_state(-3.0, 0.0, 0.0, 0.0, 0.0))])
+    _ROBOT_FAR])
 
 
 @pytest.mark.parametrize("agents", sorted(_AGENTS))
@@ -235,6 +255,34 @@ def test_filter_matches_per_step_reference(agents, offset, max_speed, models, re
         # last bits; the geometric nets sum exactly and must match exactly.
         tol = 1000 * np.finfo(float).eps
         np.testing.assert_allclose(worst_b, want[2], rtol=tol, atol=tol)
+
+
+# robot states with v = 0, omega != 0 and theta on either side of +-pi, so
+# that coasting wraps the heading
+_FLEET = np.array([[5.9, 5.0, 3.1, 1.0, -0.2],
+                   [1.0, 2.0, -3.14, 0.8, -0.3],
+                   [2.0, 2.0, np.pi, 0.0, 0.5],
+                   [0.0, 0.0, 3.141, 1.5, 0.02]])
+
+
+@pytest.mark.parametrize("n_robots", [2, 3, 4])
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_shared_coast_matches_one_row_coast(n_robots, offset):
+    states = _FLEET[:n_robots]
+    tracks = _robot_tracks({f"r{j}": ([s[0:2]] * 3, s) for j, s in enumerate(states)})
+    steps = np.arange(1, HORIZON + 1) + offset
+    for track, state in zip(tracks, states):
+        task, cols, pos = _predicted_agent(track, steps)
+        want = _coast_reference(state, HORIZON + 2)
+        assert task == "multirobot"
+        np.testing.assert_array_equal(cols, want[steps])
+        np.testing.assert_array_equal(pos, want[steps, 0:2])
+
+
+def test_short_coast_names_the_track():
+    track, = _robot_tracks({"r7": ([(0.0, 0.0)] * 3, _FLEET[0])}, n_steps=HORIZON)
+    with pytest.raises(ValueError, match="'r7'"):
+        _predicted_agent(track, np.arange(1, HORIZON + 1) + 1)
 
 
 def _geometric_barriers():

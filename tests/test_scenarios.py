@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import yaml
 
+from safefleet import scenarios
 from safefleet.scenarios import (Metrics, RepResult, ScenarioConfig, ScenarioResult,
                                  compute_metrics, head_to_head_config, load_scenario,
-                                 pick_and_place_config, serialize_log, summarize,
+                                 pick_and_place_config, run_single, serialize_log, summarize,
                                  unit_task_config)
 from safefleet.world import DT
 
@@ -216,3 +217,24 @@ class TestScenarioConfig:
         assert len(cfg.pedestrians) == 2
         assert cfg.mode == "pick_and_place"
         assert cfg.map is not None
+
+
+class TestRunSingle:
+    def test_one_robot_rep_coasts_no_fleet(self, bundle, monkeypatch):
+        # with one robot there are no other robots to predict
+        def no_coast(*args):
+            raise AssertionError("a one-robot rep coasted the fleet")
+        monkeypatch.setattr(scenarios, "coast_rollout", no_coast)
+        cfg = unit_task_config("static", 1, 1.0, repetitions=1)
+        assert run_single(cfg, bundle, cfg.seed).success
+
+    def test_pick_and_place_rep_pinned(self, bundle):
+        # the fleet path's seeded outcome, so that a change meant to keep
+        # the logs byte-identical is checked here: 477 ticks, then the final
+        # state
+        cfg = pick_and_place_config(n_pedestrians=2, seed=0, repetitions=1)
+        rep = run_single(cfg, bundle, cfg.seed)
+        assert len({row[0] for row in rep.log}) == 478
+        assert rep.success
+        assert {rid: round(m.min_distance, 6) for rid, m in rep.metrics.items()} == \
+            {"r0": 0.936374, "r1": 0.902034, "r2": 0.97373, "r3": 0.909773}
