@@ -108,17 +108,48 @@ def _gated_argmax(b_succ: np.ndarray, gate: np.ndarray) -> np.ndarray:
     return choice
 
 
-def annotate_unlabeled(succ: np.ndarray, gate: np.ndarray, barrier: BarrierModel):
+def _first_equal(succ: np.ndarray) -> np.ndarray:
+    """(N, M) map of (N, M, F) successor features: entry (i, j) is the smallest
+    candidate index k whose row succ[i, k] is bit for bit succ[i, j].
+
+    Under the acceleration clamps many candidates of one sample reach the same
+    successor, so a forward over the rows with first[i, j] == j, gathered back
+    through this map (`_distinct_forward`), computes each distinct row once.
+    """
+    n, m, fdim = succ.shape
+    rows = np.ascontiguousarray(succ).view(np.dtype((np.void, succ.itemsize * fdim)))[:, :, 0]
+    # a stable sort of each sample's rows puts equal rows side by side, the
+    # smallest candidate index first
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    starts = np.ones((n, m), bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    first = np.empty((n, m), np.intp)
+    np.put_along_axis(first, order, order[starts][np.cumsum(starts) - 1].reshape(n, m), axis=1)
+    return first
+
+
+def _distinct_forward(forward, succ: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """forward(rows) on the first occurrences of succ's rows (in sample, then
+    candidate order), gathered back to (N, M, ...) through the `_first_equal` map."""
+    n, m, fdim = succ.shape
+    flat = first + np.arange(0, n * m, m)[:, None]    # flat index of each row's first occurrence
+    keep = np.flatnonzero(flat.ravel() == np.arange(n * m))
+    slot = np.empty(n * m, np.intp)
+    slot[keep] = np.arange(len(keep))
+    return forward(succ.reshape(n * m, fdim)[keep])[slot[flat]]
+
+
+def annotate_unlabeled(succ: np.ndarray, first: np.ndarray, gate: np.ndarray,
+                       barrier: BarrierModel):
     """Split unlabeled samples into (promoted-safe mask, demoted-unsafe mask).
 
     succ holds the (N, M, F) successor features of N samples under M
-    candidates and gate their (N, M) OOD gates.  A sample is promoted iff some
-    candidate reaches a successor with B >= 0 that is also in-distribution.
+    candidates, first their `_first_equal` map and gate their (N, M) OOD gates.
+    A sample is promoted iff some candidate reaches a successor with B >= 0
+    that is also in-distribution.
     """
-    n, m, fdim = succ.shape
-    if n == 0:
-        return np.zeros(0, bool), np.zeros(0, bool)
-    b = barrier.net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
+    b = _distinct_forward(lambda rows: barrier.net.forward(rows)[:, 0], succ, first)
     promoted = ((b >= 0.0) & gate).any(axis=1)
     return promoted, ~promoted
 
@@ -169,24 +200,23 @@ def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: Dynamics
     net.set_input_scaler(mu, np.where(sd > 1e-8, sd, 1.0))
     barrier = BarrierModel(net=net, task=task)
 
-    # successor features and OOD gates are barrier-independent: precompute once
+    # successor features, their first-equal maps and OOD gates are
+    # barrier-independent: precompute once
     succ_s = successor_features(task, ctx_s, cfg.candidates, dyn)
-    gate_s = _gate_of(rej, succ_s)
-    if len(ctx_n):
-        succ_n = successor_features(task, ctx_n, cfg.candidates, dyn)
-        gate_n = _gate_of(rej, succ_n)
-    else:
-        succ_n = np.empty((0,) + succ_s.shape[1:])
-        gate_n = np.empty((0, succ_s.shape[1]), bool)
+    succ_n = (successor_features(task, ctx_n, cfg.candidates, dyn) if len(ctx_n)
+              else np.empty((0,) + succ_s.shape[1:]))
+    first_s, first_n = _first_equal(succ_s), _first_equal(succ_n)
+    gate_s, gate_n = _gate_of(rej, succ_s, first_s), _gate_of(rej, succ_n, first_n)
 
     params = net.parameters()
     opt = nn.Adam(params, lr=LR)
     curve = []
     for _ in range(cfg.epochs):
         # soft re-annotation against the current barrier
-        promoted, demoted = annotate_unlabeled(succ_n, gate_n, barrier)
+        promoted, demoted = annotate_unlabeled(succ_n, first_n, gate_n, barrier)
         ep_safe_feats = np.vstack([feats_s, feats_n[promoted]]) if promoted.any() else feats_s
         ep_succ = np.vstack([succ_s, succ_n[promoted]]) if promoted.any() else succ_s
+        ep_first = np.vstack([first_s, first_n[promoted]]) if promoted.any() else first_s
         ep_gate = np.vstack([gate_s, gate_n[promoted]]) if promoted.any() else gate_s
         ep_unsafe = np.vstack([feats_u, feats_n[demoted]]) if demoted.any() else feats_u
 
@@ -202,7 +232,7 @@ def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: Dynamics
             if len(si) == 0 or len(ui) == 0:
                 continue
             loss = _batch_step(net, opt, params, ep_safe_feats[si], ep_succ[si],
-                               ep_gate[si], ep_unsafe[ui])
+                               ep_first[si], ep_gate[si], ep_unsafe[ui])
             if not np.isfinite(loss):
                 raise nn.TrainingDiverged(f"CBF loss became {loss}")
             losses.append(loss)
@@ -220,12 +250,11 @@ def train_cbf(task: str, contexts: np.ndarray, labels: np.ndarray, dyn: Dynamics
     return barrier, report
 
 
-def _batch_step(net, opt, params, xs, succ, gate, xu):
+def _batch_step(net, opt, params, xs, succ, first, gate, xu):
     """One mini-batch gradient step on the three-term loss."""
-    bs, n_cand, fdim = succ.shape
+    bs = len(succ)
     bu = len(xu)
-    flat = succ.reshape(bs * n_cand, fdim)
-    b_succ = net.forward(flat)[:, 0].reshape(bs, n_cand)
+    b_succ = _distinct_forward(lambda rows: net.forward(rows)[:, 0], succ, first)
     j = _gated_argmax(b_succ, gate)
     chosen = succ[np.arange(bs), j]
 
@@ -250,8 +279,5 @@ def _holdout_mask(n, rng):
     return mask
 
 
-def _gate_of(rej, succ):
-    n, m, fdim = succ.shape
-    if n == 0:
-        return np.empty((0, m), bool)
-    return is_in_distribution_batch(rej, succ.reshape(n * m, fdim)).reshape(n, m)
+def _gate_of(rej, succ, first):
+    return _distinct_forward(lambda rows: is_in_distribution_batch(rej, rows), succ, first)

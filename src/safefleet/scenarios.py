@@ -150,7 +150,7 @@ def _build_walker(spec: dict, rng) -> PedestrianWalker:
 def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult:
     rng = np.random.default_rng(seed)
     robots = {}
-    platforms = {}
+    dynamics = {}      # each robot's model, fixed for the rep
     goals = {}
     for spec in cfg.robots:
         rid = spec["id"]
@@ -159,7 +159,7 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
         if cfg.start_jitter > 0:
             sy += rng.uniform(-cfg.start_jitter, cfg.start_jitter)
         robots[rid] = (np.array([sx, sy, sth, 0.0, 0.0]), params)
-        platforms[rid] = params
+        dynamics[rid] = models.dynamics_for(params)
         if spec.get("goal") is not None:
             goals[rid] = np.asarray(spec["goal"], dtype=float)
 
@@ -223,7 +223,7 @@ def run_single(cfg: ScenarioConfig, models: ModelBundle, seed: int) -> RepResult
             cc.desired_speed = min(cc.desired_speed, max(0.3, goal_dist))
             agents = robot_tracks[:i] + robot_tracks[i + 1:] + other_tracks
             commands[i] = select_control(state, world.queues[i], agents, goals[rid],
-                                         models.barriers, models.dynamics_for(platforms[rid]),
+                                         models.barriers, dynamics[rid],
                                          cc, compensate_delay=cfg.compensate_delay)
 
         _log_tick(log, world)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from safefleet import nn
 from safefleet.barrier import (LR, MARGIN, BarrierModel, CbfTrainConfig, advance_contexts,
                                annotate_unlabeled, successor_features, train_cbf,
-                               _batch_step, _cbf_objective, _gate_of, _gated_argmax)
-from safefleet.data import features_from_context
+                               _batch_step, _cbf_objective, _distinct_forward, _first_equal,
+                               _gate_of, _gated_argmax)
+from safefleet.data import LABEL_SAFE, LABEL_UNLABELED, features_from_context
 from safefleet.dynamics import DynamicsModel, predict_next_batch
-from safefleet.ood import RejectionModel
-from safefleet.world import candidate_controls, make_platform
+from safefleet.ood import RejectionModel, is_in_distribution_batch
+from safefleet.pipeline import DATA_MAX_SPEED
+from safefleet.world import PlatformParams, candidate_controls, make_platform
 
 FREIGHT_DYN = DynamicsModel(make_platform("freight", 1.0))
 CANDS = candidate_controls(1.0)
@@ -40,15 +43,26 @@ def reject_all_rejection(in_dim):
     return RejectionModel(net=net, c=0.25)
 
 
+def full_values(net, succ):
+    """Reference: (N, M) barrier values of all N*M successor rows in one forward."""
+    n, m, fdim = succ.shape
+    return net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
+
+
+def full_gate(rej, succ):
+    """Reference: (N, M) OOD gates of all N*M successor rows in one forward."""
+    n, m, fdim = succ.shape
+    return is_in_distribution_batch(rej, succ.reshape(n * m, fdim)).reshape(n, m)
+
+
 def cbf_loss(barrier, safe_feats, safe_ctx, unsafe_feats, dyn, rej, candidates, margin):
     """Reference: the full-batch training loss (no gradients), each safe
     sample's successor chosen by the gated argmax over all its candidates."""
     b_s = barrier.value(np.atleast_2d(safe_feats))
     b_u = barrier.value(np.atleast_2d(unsafe_feats))
     succ = successor_features(barrier.task, safe_ctx, candidates, dyn)
-    n, m, fdim = succ.shape
-    b_succ = barrier.net.forward(succ.reshape(n * m, fdim))[:, 0].reshape(n, m)
-    b_next = b_succ[np.arange(n), _gated_argmax(b_succ, _gate_of(rej, succ))]
+    b_succ = full_values(barrier.net, succ)
+    b_next = b_succ[np.arange(len(succ)), _gated_argmax(b_succ, full_gate(rej, succ))]
     return _cbf_objective(b_s, b_u, b_next, margin)[0]
 
 
@@ -161,13 +175,107 @@ class TestGatedArgmax:
         assert _gated_argmax(b, gate)[0] == 1
 
 
+def brute_first_equal(succ):
+    """Reference map: for each (i, j) the smallest k with bit-equal rows."""
+    bits = np.ascontiguousarray(succ).view(np.uint64)
+    n, m, _ = succ.shape
+    return np.array([[next(k for k in range(m) if (bits[i, k] == bits[i, j]).all())
+                      for j in range(m)] for i in range(n)], dtype=np.intp).reshape(n, m)
+
+
+class TestFirstEqual:
+    def test_maps_to_smallest_equal_index(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n, m, f = rng.integers(0, 5), rng.integers(1, 9), rng.integers(1, 4)
+            succ = rng.choice([0.0, 1.0, -2.5], (n, m, f))
+            assert_array_equal(_first_equal(succ), brute_first_equal(succ))
+
+    def test_real_successors_match_brute_force(self):
+        rng = np.random.default_rng(5)
+        ctxs = np.column_stack([rng.uniform(0, 4, (40, 2)), rng.uniform(-3, 3, 40),
+                                rng.choice([0.0, 0.3, 0.75, 1.0], 40),
+                                rng.choice([0.0, -1.2, 0.5], 40), rng.uniform(0, 4, (40, 2))])
+        succ = successor_features("static", ctxs, CANDS, FREIGHT_DYN)
+        first = _first_equal(succ)
+        assert_array_equal(first, brute_first_equal(succ))
+        assert (first != np.arange(len(CANDS))).any()    # the clamps do collapse candidates
+
+    def test_row_equal_to_no_earlier_row_maps_to_itself(self):
+        succ = np.array([[[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [5.0, 6.0]],
+                         [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]])
+        assert_array_equal(_first_equal(succ), [[0, 1, 0, 3], [0, 1, 2, 3]])
+
+    def test_signed_zeros_are_not_merged(self):
+        # equal means bit for bit, which is what a forward shares
+        succ = np.array([[[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]])
+        assert_array_equal(_first_equal(succ), [[0, 1, 0]])
+
+    def test_gathered_ties_resolve_to_smallest_index(self):
+        # candidates 1 and 3 reach the same best successor; the gathered
+        # values tie exactly and the gated argmax keeps candidate 1
+        succ = np.array([[[0.1], [0.9], [0.5], [0.9]]])
+        first = _first_equal(succ)
+        b = _distinct_forward(lambda rows: rows[:, 0] * 2.0, succ, first)
+        assert_array_equal(b, [[0.2, 1.8, 1.0, 1.8]])
+        assert _gated_argmax(b, np.ones((1, 4), bool))[0] == 1
+        assert _gated_argmax(b, np.array([[True, False, True, True]]))[0] == 3
+
+
+@pytest.mark.parametrize("task", ["static", "dynamic", "multirobot"])
+def test_distinct_rows_equal_full_rows_on_bundle(bundle, task_samples, task):
+    """The first-occurrence forwards give training's gates, annotation masks and
+    gated-argmax choices exactly as one forward over all N*M rows does, on the
+    committed nets and real training contexts."""
+    contexts, labels = task_samples[task]
+    rng = np.random.default_rng(1)
+    picks = [rng.choice(idx, size=min(300, len(idx)), replace=False)
+             for idx in (np.flatnonzero(labels == lab) for lab in (LABEL_SAFE, LABEL_UNLABELED))]
+    contexts = contexts[np.concatenate(picks)]
+    # one sample whose candidates all collapse (v below every linear candidate
+    # and omega above every angular one by more than freight's clamps) ...
+    collapsed = contexts[:1].copy()
+    collapsed[0, 3:5] = (-0.3, 1.5)
+    candidates = candidate_controls(DATA_MAX_SPEED)
+    dyn = bundle.dynamics_for(make_platform("freight", DATA_MAX_SPEED))   # as in training
+    # ... and one whose candidates all stay distinct, under limits that never clamp
+    unclamped = DynamicsModel(PlatformParams("unclamped", m_v=1e3, m_omega=1e3, delay_h=0.1,
+                                             max_speed=DATA_MAX_SPEED))
+    succ = np.concatenate([successor_features(task, np.vstack([contexts, collapsed]),
+                                              candidates, dyn),
+                           successor_features(task, contexts[:1], candidates, unclamped)])
+    first = _first_equal(succ)
+    assert (first[-2] == 0).all()
+    assert_array_equal(first[-1], np.arange(len(candidates)))
+    assert (first != np.arange(len(candidates))).mean() > 0.5
+
+    barrier, rej = bundle.barriers[task], bundle.rejections[task]
+    b_full, gate_full = full_values(barrier.net, succ), full_gate(rej, succ)
+    b = _distinct_forward(lambda rows: barrier.net.forward(rows)[:, 0], succ, first)
+    gate = _gate_of(rej, succ, first)
+    # the values agree to the last bits only (5.6e-17 apart at most when
+    # measured): in OpenBLAS's gemm the last (rows mod 4) rows of each
+    # thread's share of a call take another kernel path; only the decisions
+    # below leave training's three forwards
+    np.testing.assert_allclose(b, b_full, rtol=0.0, atol=64 * np.finfo(float).eps)
+    assert_array_equal(gate, gate_full)
+    promoted, demoted = annotate_unlabeled(succ, first, gate, barrier)
+    want = ((b_full >= 0.0) & gate_full).any(axis=1)
+    assert_array_equal(promoted, want)
+    assert_array_equal(demoted, ~want)
+    assert 0 < want.sum() < len(want)
+    assert_array_equal(_gated_argmax(b, gate), _gated_argmax(b_full, gate_full))
+
+
 class TestAnnotateUnlabeled:
     CTXS = np.array([[4.0, 4.0, 0.0, 0.5, 0.0, 6.0, 4.0],
                      [2.0, 2.0, 1.0, 0.2, 0.1, 2.5, 2.0]])
     SUCC = successor_features("static", CTXS, CANDS, FREIGHT_DYN)
 
+    FIRST = _first_equal(SUCC)
+
     def annotate(self, b, rej):
-        return annotate_unlabeled(self.SUCC, _gate_of(rej, self.SUCC), b)
+        return annotate_unlabeled(self.SUCC, self.FIRST, _gate_of(rej, self.SUCC, self.FIRST), b)
 
     def test_positive_barrier_promotes_all(self):
         b = constant_barrier("static", 1.0, 5)
@@ -235,6 +343,17 @@ class TestCbfLoss:
                 train_cbf("static", ctx, np.array(labels), FREIGHT_DYN,
                           accept_all_rejection(5), cfg)
 
+    def test_trains_without_unlabeled_samples(self):
+        # the empty unlabeled set flows through the map, gate and annotation
+        rng = np.random.default_rng(8)
+        ctx = np.column_stack([rng.uniform(0, 4, (60, 2)), rng.uniform(-3, 3, 60),
+                               rng.uniform(0, 1, 60), rng.uniform(-1, 1, 60),
+                               rng.uniform(0, 4, (60, 2))])
+        labels = np.array(["safe"] * 40 + ["unsafe"] * 20)
+        cfg = CbfTrainConfig(candidates=CANDS, epochs=2, seed=0, hidden=(8,))
+        _, report = train_cbf("static", ctx, labels, FREIGHT_DYN, accept_all_rejection(5), cfg)
+        assert len(report["loss_curve"]) == 2 and np.isfinite(report["loss_curve"]).all()
+
     def test_batch_step_loss_is_cbf_loss(self):
         # the loss a training step reports, taken before its Adam update, is
         # this objective on the same samples
@@ -251,9 +370,10 @@ class TestCbfLoss:
         want = cbf_loss(barrier, safe_feats, safe_ctx, unsafe_feats, FREIGHT_DYN, rej, CANDS,
                         margin=MARGIN)
         succ = successor_features("static", safe_ctx, CANDS, FREIGHT_DYN)
+        first = _first_equal(succ)
         params = net.parameters()
-        got = _batch_step(net, nn.Adam(params, lr=LR), params, safe_feats, succ,
-                          _gate_of(rej, succ), unsafe_feats)
+        got = _batch_step(net, nn.Adam(params, lr=LR), params, safe_feats, succ, first,
+                          _gate_of(rej, succ, first), unsafe_feats)
         assert want > 0.05   # all three hinges are active on this batch
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
